@@ -99,26 +99,28 @@ def _run_ablations(args) -> None:
     from repro.experiments import ablations
 
     runs = args.runs
+    # ablations run per-point campaigns serially unless --workers is given
+    workers = 1 if args.workers is None else args.workers
     print("\n== Ablations (DESIGN.md §6) ==")
 
-    cmp = ablations.phs_ablation(runs=runs, workers=args.workers)
+    cmp = ablations.phs_ablation(runs=runs, workers=workers)
     print(
         f"\npath handover scheme: saves {cmp.mean_diff:.2f} tx "
         f"(95% CI [{cmp.ci_lo:.2f}, {cmp.ci_hi:.2f}], p={cmp.p_value:.2g}, "
         f"n={cmp.n})"
     )
 
-    macs = ablations.mac_ablation(runs=runs, workers=args.workers)
+    macs = ablations.mac_ablation(runs=runs, workers=workers)
     for mac, c in macs.items():
         print(f"MTMRP vs ODMRP under {mac:5s} MAC: MTMRP saves {c.mean_diff:.2f} tx "
               f"(win rate {c.win_rate:.0%})")
 
-    lat = ablations.construction_latency_price(runs=runs, workers=args.workers)
+    lat = ablations.construction_latency_price(runs=runs, workers=workers)
     print("\nconstruction-latency price (grid, 20 receivers):")
     for k, v in lat.items():
         print(f"  {k:18s} latency={v['latency'] * 1e3:7.1f} ms  overhead={v['overhead']:.1f}")
 
-    shadow = ablations.shadowing_ablation(runs=max(runs // 2, 4), workers=args.workers)
+    shadow = ablations.shadowing_ablation(runs=max(runs // 2, 4), workers=workers)
     print("\nshadow fading (the effect Sec. V-A disables):")
     for sigma, v in shadow.items():
         print(f"  sigma={sigma:3.1f} dB  delivery={v['delivery_ratio']['mean']:.3f}  "
@@ -283,7 +285,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument("figure", choices=[*COMMANDS, "all"], help="which figure to run")
     parser.add_argument("--runs", type=int, default=30, help="Monte-Carlo rounds per point (paper: 100)")
-    parser.add_argument("--workers", type=int, default=1, help="worker processes")
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="worker processes; fig5-fig8 default to every usable CPU (one "
+             "campaign per sweep), 1 keeps a sweep serial in this process; "
+             "ablations and serve default to 1",
+    )
     parser.add_argument(
         "--seed", type=int, default=None,
         help="snapshot seed for fig9/fig10 (default: each figure's representative round)",

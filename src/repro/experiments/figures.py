@@ -19,10 +19,17 @@ EXPERIMENTS.md for full-scale results).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import PROTOCOLS, SimulationConfig
-from repro.experiments.runner import RunResult, aggregate, monte_carlo, run_many, run_single
+from repro.experiments.runner import (
+    RunResult,
+    aggregate,
+    monte_carlo,
+    resolve_workers,
+    run_many,
+    run_single,
+)
 
 __all__ = [
     "SweepResult",
@@ -66,47 +73,66 @@ class SweepResult:
 
 
 # --------------------------------------------------------------------- #
+# one campaign per sweep
+# --------------------------------------------------------------------- #
+def _run_cells(
+    cells: Sequence[Tuple[SimulationConfig, int]], runs: int, workers: Optional[int]
+) -> List[List[RunResult]]:
+    """``runs`` Monte-Carlo rounds of every ``(config, batch seed)`` cell.
+
+    The whole sweep is one ``run_many`` call, so the pool (when
+    ``workers`` resolves above 1; see :func:`resolve_workers`) stays busy
+    across cells instead of draining at every cell boundary.  Returns
+    one result list per cell, in cell order.  ``warm=True`` forks shared
+    prefixes where that beats a cold build (auto-gated per config).
+    """
+    cfgs = [c for cfg, seed in cells for c in monte_carlo(cfg, runs, seed)]
+    results = run_many(cfgs, workers=resolve_workers(workers, len(cfgs)), warm=True)
+    return [results[i * runs:(i + 1) * runs] for i in range(len(cells))]
+
+
+# --------------------------------------------------------------------- #
 # Figs. 5 and 6 — metrics vs multicast group size
 # --------------------------------------------------------------------- #
 def _group_size_sweep(
     topology: str,
     group_sizes: Sequence[int],
     runs: int,
-    workers: int,
+    workers: Optional[int],
     batch_seed: int,
     protocols: Sequence[str],
 ) -> SweepResult:
     sweep = SweepResult(xlabel="group size", xs=list(group_sizes), protocols=list(protocols))
-    for proto in protocols:
-        for gs in group_sizes:
-            cfg = SimulationConfig(protocol=proto, topology=topology, group_size=gs)
-            # Same batch seed across protocols -> paired receiver draws,
-            # which is how the paper compares protocols round by round.
-            # warm=True forks the shared topology/channel/HELLO prefix per
-            # (seed, group size) instead of rebuilding it for every
-            # protocol (auto-gated: it only kicks in where forking beats
-            # a cold build).
-            results = run_many(
-                monte_carlo(cfg, runs, batch_seed + gs), workers=workers, warm=True
-            )
-            sweep.add(proto, gs, results)
+    points = [(proto, gs) for proto in protocols for gs in group_sizes]
+    # Same batch seed across protocols -> paired receiver draws, which is
+    # how the paper compares protocols round by round.
+    cells = [
+        (SimulationConfig(protocol=proto, topology=topology, group_size=gs), batch_seed + gs)
+        for proto, gs in points
+    ]
+    for (proto, gs), results in zip(points, _run_cells(cells, runs, workers)):
+        sweep.add(proto, gs, results)
     return sweep
 
 
 def fig5(
     runs: int = 30,
-    workers: int = 1,
+    workers: Optional[int] = None,
     group_sizes: Sequence[int] = GROUP_SIZES,
     batch_seed: int = 500,
     protocols: Sequence[str] = PROTOCOLS,
 ) -> SweepResult:
-    """Fig. 5(a-c): grid topology, 20 -> the three metrics vs group size."""
+    """Fig. 5(a-c): grid topology, 20 -> the three metrics vs group size.
+
+    ``workers=None`` runs the sweep on every usable CPU; ``workers=1``
+    keeps it in this process.  Results are identical either way.
+    """
     return _group_size_sweep("grid", group_sizes, runs, workers, batch_seed, protocols)
 
 
 def fig6(
     runs: int = 30,
-    workers: int = 1,
+    workers: Optional[int] = None,
     group_sizes: Sequence[int] = GROUP_SIZES,
     batch_seed: int = 600,
     protocols: Sequence[str] = PROTOCOLS,
@@ -122,7 +148,7 @@ def _tuning_sweep(
     topology: str,
     group_size: int,
     runs: int,
-    workers: int,
+    workers: Optional[int],
     batch_seed: int,
     ns: Sequence[float],
     ws: Sequence[float],
@@ -138,30 +164,27 @@ def _tuning_sweep(
     """
     xs = [(n, w) for n in ns for w in ws]
     sweep = SweepResult(xlabel="(N, w)", xs=xs, protocols=list(protocols))
-    cache: Dict[SimulationConfig, List[RunResult]] = {}
+    point_cfgs: Dict[Tuple[str, Hashable], SimulationConfig] = {}
     for proto in protocols:
         uses_backoff = proto in ("mtmrp", "mtmrp_nophs")
         for n, w in xs:
-            cfg = SimulationConfig(
+            point_cfgs[(proto, (n, w))] = SimulationConfig(
                 protocol=proto,
                 topology=topology,
                 group_size=group_size,
                 backoff_n=n if uses_backoff else 4.0,
                 backoff_w=w if uses_backoff else 0.001,
             )
-            if cfg not in cache:
-                # every (N, w) cell shares the batch seed -> identical
-                # prefixes, the warm fork's best case
-                cache[cfg] = run_many(
-                    monte_carlo(cfg, runs, batch_seed), workers=workers, warm=True
-                )
-            sweep.add(proto, (n, w), cache[cfg])
+    unique = list(dict.fromkeys(point_cfgs.values()))
+    results = dict(zip(unique, _run_cells([(c, batch_seed) for c in unique], runs, workers)))
+    for (proto, x), cfg in point_cfgs.items():
+        sweep.add(proto, x, results[cfg])
     return sweep
 
 
 def fig7(
     runs: int = 20,
-    workers: int = 1,
+    workers: Optional[int] = None,
     batch_seed: int = 700,
     ns: Sequence[float] = TUNING_N,
     ws: Sequence[float] = TUNING_W,
@@ -173,7 +196,7 @@ def fig7(
 
 def fig8(
     runs: int = 20,
-    workers: int = 1,
+    workers: Optional[int] = None,
     batch_seed: int = 800,
     ns: Sequence[float] = TUNING_N,
     ws: Sequence[float] = TUNING_W,

@@ -64,6 +64,7 @@ __all__ = [
     "RunError",
     "run_single",
     "run_many",
+    "resolve_workers",
     "monte_carlo",
     "aggregate",
     "aggregate_columnar",
@@ -745,6 +746,24 @@ def pool_worker_pids() -> Tuple[int, ...]:
     return tuple(_POOL._processes.keys())
 
 
+def resolve_workers(workers: Optional[int], n_runs: int) -> int:
+    """Worker count for a campaign of ``n_runs`` runs.
+
+    An explicit ``workers`` is returned unchanged.  ``None`` means "use
+    the host": the CPUs this process may run on (its affinity mask, or
+    ``os.cpu_count()`` where the platform has none), capped at
+    ``n_runs`` so a small campaign spawns no idle workers.  A result of
+    1 sends :func:`run_many` down its serial loop, which creates no pool.
+    """
+    if workers is not None:
+        return workers
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform (macOS, Windows)
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_runs))
+
+
 def _run_chunk(chunk: List[Tuple[int, SimulationConfig, bool, Optional[float]]]) -> list:
     """Worker-side: run a chunk of configs, isolating per-run failures.
 
@@ -912,17 +931,23 @@ def run_many(
     runs never warm-start (observer state is not part of a snapshot), so
     ``warm`` is ignored when ``on_sample`` is set.
 
-    ``batch=N`` (serial, non-sampling campaigns only) routes eligible
-    configs through the vectorized many-seed kernel
-    (:func:`repro.sim.batch.run_batch`) in groups of up to ``N`` seeds
-    sharing a warm-snapshot ``prefix_key``.  Results are bit-identical
-    to the scalar loop; ineligible or inexpressible configs fall back to
-    scalar runs, counted in the ``batch_fallback`` obs counter.
-    ``batch`` is ignored when ``workers > 1`` or ``on_sample`` is set
-    (callbacks then fire in completion order, as with the pool path).
+    ``batch=N`` routes eligible configs through the vectorized many-seed
+    kernel (:func:`repro.sim.batch.run_batch`) in groups of up to ``N``
+    seeds sharing a warm-snapshot ``prefix_key``.  Results are
+    bit-identical to the scalar loop; ineligible or inexpressible
+    configs fall back to scalar runs, counted in the ``batch_fallback``
+    obs counter.  Callbacks fire in completion order, as with the pool
+    path.  The kernel runs in-process and unobserved, so ``batch > 1``
+    together with ``workers > 1`` or ``on_sample`` raises
+    :class:`ValueError`.
     """
     if on_error not in ("raise", "collect"):
         raise ValueError(f'on_error must be "raise" or "collect", got {on_error!r}')
+    if batch > 1 and (workers > 1 or on_sample is not None):
+        raise ValueError(
+            "batch > 1 runs the in-process, unobserved batch kernel; it cannot "
+            "be combined with workers > 1 or on_sample"
+        )
     cfgs = list(configs)
     total = len(cfgs)
     force = warm == "always"
@@ -933,7 +958,7 @@ def run_many(
     window = float(sample_window) if sampling else None
 
     if workers <= 1:
-        if batch and batch > 1 and not sampling:
+        if batch > 1:
             return _run_many_batched(
                 cfgs, batch, flags, progress, on_error, on_result
             )

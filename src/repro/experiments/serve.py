@@ -201,8 +201,9 @@ def _serve_forever(host: str, port: int, unix_path, store_dir, workers: int) -> 
 
 def run_serve(args) -> None:
     """Entry point for ``python -m repro.experiments serve``."""
+    workers = 1 if args.workers is None else args.workers
     if args.smoke:
-        code = run_smoke(n_specs=args.runs, workers=max(args.workers, 2))
+        code = run_smoke(n_specs=args.runs, workers=max(workers, 2))
         if code:
             raise SystemExit(code)
         return
@@ -211,5 +212,5 @@ def run_serve(args) -> None:
         port=args.serve_port,
         unix_path=args.serve_unix,
         store_dir=args.serve_store,
-        workers=args.workers,
+        workers=workers,
     )

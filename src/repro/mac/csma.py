@@ -39,12 +39,6 @@ from repro.net.packet import BROADCAST, AckFrame, Packet
 
 __all__ = ["CsmaParams", "CsmaMac"]
 
-#: backoff draws prefetched per block.  ``integers(0, cw+1, size=k)``
-#: consumes the bit stream exactly as ``k`` scalar draws would, so the
-#: block is served one value at a time with no observable difference —
-#: it just replaces ~k generator round-trips with one.
-_BACKOFF_BLOCK = 16
-
 
 @dataclass(frozen=True)
 class CsmaParams:
@@ -77,11 +71,6 @@ class CsmaMac(Mac):
         self._awaiting_ack_uid: Optional[int] = None
         self._rng_gen = None
         self._radio = None  # this node's Radio, resolved on first access
-        # backoff block-prefetch state (see _backoff_slots)
-        self._bo_buf = None
-        self._bo_pos = 0
-        self._bo_cw = -1
-        self._bo_state = None
 
     # ------------------------------------------------------------------ #
     def _rng(self):
@@ -130,33 +119,14 @@ class CsmaMac(Mac):
         sim.schedule_fire(p.difs + backoff, self._final_check, attempts_left - 1)
 
     def _backoff_slots(self) -> int:
-        """Next ``U{0..cw}`` draw, served from a vectorized block prefetch.
+        """One ``U{0..cw}`` backoff draw from this node's MAC stream.
 
-        Serving from the block is draw-for-draw identical to scalar
-        ``integers(0, cw+1)`` calls (same values, same bit-stream
-        consumption for the served prefix).  When the contention window
-        changes (unicast retry doubling / reset) the unconsumed tail was
-        speculated under the wrong bound, whose rejection sampling may
-        have eaten a different number of bits — rewind the generator to
-        the pre-block state and redraw exactly the consumed count, which
-        lands it on the state a scalar MAC would be in, then prefetch
-        under the new bound.
+        Scalar on purpose: a node draws about one backoff per run, so a
+        prefetched block of draws (plus the saved generator state needed
+        to rewind it when the contention window changes) would be paid
+        for in full nearly every time.
         """
-        gen = self._rng()
-        buf = self._bo_buf
-        pos = self._bo_pos
-        cw = self._cw
-        if buf is None or pos >= buf.shape[0] or cw != self._bo_cw:
-            if buf is not None and pos < buf.shape[0]:
-                gen.bit_generator.state = self._bo_state
-                if pos:
-                    gen.integers(0, self._bo_cw + 1, size=pos)
-            self._bo_state = gen.bit_generator.state
-            self._bo_cw = cw
-            buf = self._bo_buf = gen.integers(0, cw + 1, size=_BACKOFF_BLOCK)
-            pos = 0
-        self._bo_pos = pos + 1
-        return int(buf[pos])
+        return int(self._rng().integers(0, self._cw + 1))
 
     def _final_check(self, attempts_left: int) -> None:
         """Re-sense at the end of DIFS+backoff; transmit if still idle."""

@@ -28,7 +28,7 @@ def test_fig5_tiny(capsys, monkeypatch):
     from repro.experiments import figures
 
     monkeypatch.setattr(figures, "GROUP_SIZES", (10,))
-    rc = main(["fig5", "--runs", "1"])
+    rc = main(["fig5", "--runs", "1", "--workers", "1"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "Normalized transmission overhead" in out

@@ -32,7 +32,7 @@ def test_gmr_deterministic():
 
 def test_six_protocol_sweep_point():
     """All protocol families run through the same sweep machinery."""
-    sweep = fig5(runs=2, group_sizes=(10,),
+    sweep = fig5(runs=2, workers=1, group_sizes=(10,),
                  protocols=("mtmrp", "odmrp", "maodv", "gmr"))
     for proto in ("mtmrp", "odmrp", "maodv", "gmr"):
         vals = sweep.series(proto, "data_transmissions")

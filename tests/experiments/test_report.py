@@ -10,7 +10,7 @@ from repro.experiments.report import (
 
 
 def _mini_sweep():
-    return figures.fig5(runs=1, group_sizes=(5, 10), protocols=("odmrp", "mtmrp"))
+    return figures.fig5(runs=1, workers=1, group_sizes=(5, 10), protocols=("odmrp", "mtmrp"))
 
 
 def test_series_table_contains_labels_and_values():
@@ -27,7 +27,7 @@ def test_series_chart_renders():
 
 
 def test_tuning_surfaces_render():
-    sweep = figures.fig7(runs=1, ns=(3.0, 4.0), ws=(0.001, 0.01), protocols=("mtmrp",))
+    sweep = figures.fig7(runs=1, workers=1, ns=(3.0, 4.0), ws=(0.001, 0.01), protocols=("mtmrp",))
     out = format_tuning_surfaces(sweep)
     assert "MTMRP" in out
     assert "N\\w" in out

@@ -217,6 +217,24 @@ class TestFailureIsolation:
         with pytest.raises(ValueError, match="on_error"):
             run_many([], on_error="ignore")
 
+    @pytest.mark.parametrize(
+        "opts", [dict(workers=2), dict(on_sample=lambda i, s: None)], ids=["workers", "on_sample"]
+    )
+    def test_batch_with_pool_or_sampling_rejected(self, opts, monkeypatch):
+        """The batch kernel is in-process and unobserved: asking for it
+        together with the pool or with sampling raises before any run."""
+        import repro.experiments.runner as runner
+
+        monkeypatch.setattr(runner, "run_single", _must_not_run)
+        monkeypatch.setattr(runner, "shared_pool", _must_not_run)
+        cfgs = monte_carlo(SimulationConfig(protocol="mtmrp", **FAST), 2, 7)
+        with pytest.raises(ValueError, match="batch"):
+            run_many(cfgs, batch=4, **opts)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started despite contradictory options")
+
 
 class TestOnResult:
     def test_reports_config_identity_not_completion_order(self):

@@ -142,14 +142,13 @@ def test_fixed_cw_for_broadcast():
     assert p.retry_limit == 7
 
 
-def test_backoff_block_prefetch_is_scalar_equivalent(monkeypatch):
-    """The block-prefetched backoff draws are draw-for-draw scalar.
+def test_backoff_draws_keep_the_pinned_contention_trace(monkeypatch):
+    """Backoff draws consume the MAC stream exactly as they always have.
 
-    With ``_BACKOFF_BLOCK=1`` every backoff is a fresh single draw — the
-    scalar reference by construction.  A full contention-heavy run must
-    produce the bit-identical trace at the production block size,
-    including across contention-window changes (unicast retry doubling),
-    which exercise the rewind-and-redraw reconciliation.
+    A contention-heavy run whose unicast retries double the contention
+    window (31 -> 63) must reproduce the trace digest pinned when the MAC
+    still served backoffs from prefetched 16-draw blocks, a form proven
+    draw-for-draw equal to scalar draws before it was removed.
     """
     import repro.mac.csma as csma_mod
     from repro.experiments.config import SimulationConfig
@@ -161,14 +160,19 @@ def test_backoff_block_prefetch_is_scalar_equivalent(monkeypatch):
         protocol="mtmrp", topology="grid", grid_nx=5, grid_ny=5, side=100.0,
         group_size=5, mac="csma", seed=17,
     )
-    reset_uids()
-    tr_block = TraceRecorder()
-    res_block = run_single(cfg, trace=tr_block, cache=False)
+    windows = []
+    draw = csma_mod.CsmaMac._backoff_slots
 
-    monkeypatch.setattr(csma_mod, "_BACKOFF_BLOCK", 1)
-    reset_uids()
-    tr_scalar = TraceRecorder()
-    res_scalar = run_single(cfg, trace=tr_scalar, cache=False)
+    def recording(self):
+        windows.append(self._cw)
+        return draw(self)
 
-    assert trace_digest(tr_block) == trace_digest(tr_scalar)
-    assert res_block == res_scalar
+    monkeypatch.setattr(csma_mod.CsmaMac, "_backoff_slots", recording)
+    reset_uids()
+    tr = TraceRecorder()
+    run_single(cfg, trace=tr, cache=False)
+
+    assert sorted(set(windows)) == [31, 63]
+    assert trace_digest(tr) == (
+        "296d39b2b8b3a4bb39b02bcfbf8e7fec83aa1733c978f6c396d07b3bd254af02"
+    )
