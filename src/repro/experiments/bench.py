@@ -233,12 +233,14 @@ def run_benchmarks(fast: bool = False) -> Dict[str, Dict[str, float]]:
         for n in (3.0, 4.0, 5.0, 6.0, 7.0)
         for w in (0.001, 0.005, 0.01, 0.02, 0.03)
     ]
+    # both sides in-process (workers=1), as BENCH_core.json's entries
+    # were measured: a pooled side would not compare like with like
     t0 = time.perf_counter()
-    cold = run_many(campaign)
+    cold = run_many(campaign, workers=1)
     t_cold = time.perf_counter() - t0
     runner_mod._process_snapshots().clear()  # pay the captures inside the timing
     t0 = time.perf_counter()
-    warm = run_many(campaign, warm=True)
+    warm = run_many(campaign, workers=1, warm=True)
     t_warm = time.perf_counter() - t0
     if warm != cold:  # pragma: no cover - determinism violation
         raise AssertionError("warm-start campaign diverged from the cold path")
@@ -269,7 +271,8 @@ def run_benchmarks(fast: bool = False) -> Dict[str, Dict[str, float]]:
     scalar = [run_single(c, cache=False) for c in mc_cfgs[:n_scalar]]
     t_scalar = (time.perf_counter() - t0) * (n_seeds / n_scalar)
     t0 = time.perf_counter()
-    batched = run_many(mc_cfgs, batch=n_seeds)
+    # in-process (workers=1), like the scalar baseline it is timed against
+    batched = run_many(mc_cfgs, workers=1, batch=n_seeds)
     t_batch = time.perf_counter() - t0
     if batched[:n_scalar] != scalar:  # pragma: no cover - determinism violation
         raise AssertionError("batched Monte Carlo diverged from the scalar loop")
@@ -296,7 +299,7 @@ def run_benchmarks(fast: bool = False) -> Dict[str, Dict[str, float]]:
     ms_scalar = [run_single(c, cache=False) for c in msb_cfgs[:n_ms_scalar]]
     t_ms_scalar = (time.perf_counter() - t0) * (n_ms / n_ms_scalar)
     t0 = time.perf_counter()
-    ms_batched = run_many(msb_cfgs, batch=n_ms)
+    ms_batched = run_many(msb_cfgs, workers=1, batch=n_ms)
     t_ms_batch = time.perf_counter() - t0
     if ms_batched[:n_ms_scalar] != ms_scalar:  # pragma: no cover
         raise AssertionError("multi-session batch diverged from the scalar loop")
@@ -316,7 +319,7 @@ def run_benchmarks(fast: bool = False) -> Dict[str, Dict[str, float]]:
     lossy_scalar = [run_single(c, cache=False) for c in ml_cfgs[:n_lossy_scalar]]
     t_lossy_scalar = (time.perf_counter() - t0) * (n_seeds / n_lossy_scalar)
     t0 = time.perf_counter()
-    lossy_batched = run_many(ml_cfgs, batch=n_seeds)
+    lossy_batched = run_many(ml_cfgs, workers=1, batch=n_seeds)
     t_lossy_batch = time.perf_counter() - t0
     if lossy_batched[:n_lossy_scalar] != lossy_scalar:  # pragma: no cover
         raise AssertionError("lossy batch diverged from the scalar loop")
@@ -328,7 +331,7 @@ def run_benchmarks(fast: bool = False) -> Dict[str, Dict[str, float]]:
     # -- persistent pool vs per-point pools over a 4-point sweep -------- #
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.experiments.runner import _run_chunk, _warm_imports, shutdown_pool
+    from repro.experiments.runner import _run_task, _warm_imports, shutdown_pool
 
     static = SimulationConfig(protocol="mtmrp", topology="grid", group_size=10, mac="ideal")
     points = [
@@ -342,9 +345,9 @@ def run_benchmarks(fast: bool = False) -> Dict[str, Dict[str, float]]:
         out = []
         for cfgs in points:
             with ProcessPoolExecutor(max_workers=2, initializer=_warm_imports) as pool:
-                futs = [pool.submit(_run_chunk, [(i, c, False, None)])
+                futs = [pool.submit(_run_task, (False, [(i, c, False, None)]))
                         for i, c in enumerate(cfgs)]
-                out.extend(fut.result()[0][1] for fut in futs)
+                out.extend(fut.result()[0][0][1] for fut in futs)
         return out
 
     def sweep_shared() -> list:

@@ -26,7 +26,6 @@ from repro.experiments.runner import (
     RunResult,
     aggregate,
     monte_carlo,
-    resolve_workers,
     run_many,
     run_single,
 )
@@ -81,13 +80,13 @@ def _run_cells(
     """``runs`` Monte-Carlo rounds of every ``(config, batch seed)`` cell.
 
     The whole sweep is one ``run_many`` call, so the pool (when
-    ``workers`` resolves above 1; see :func:`resolve_workers`) stays busy
-    across cells instead of draining at every cell boundary.  Returns
+    ``workers`` resolves above 1; ``None`` takes the host's CPUs) stays
+    busy across cells instead of draining at every cell boundary.  Returns
     one result list per cell, in cell order.  ``warm=True`` forks shared
     prefixes where that beats a cold build (auto-gated per config).
     """
     cfgs = [c for cfg, seed in cells for c in monte_carlo(cfg, runs, seed)]
-    results = run_many(cfgs, workers=resolve_workers(workers, len(cfgs)), warm=True)
+    results = run_many(cfgs, workers=workers, warm=True)
     return [results[i * runs:(i + 1) * runs] for i in range(len(cells))]
 
 

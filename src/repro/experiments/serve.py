@@ -64,7 +64,7 @@ def _references(payloads):
         spec = CampaignSpec.from_payload(p)
         if spec.key() in refs:
             continue
-        out = run_many(spec.configs())
+        out = run_many(spec.configs(), workers=1)
         refs[spec.key()] = [result_record(r) for r in out]
     return refs
 

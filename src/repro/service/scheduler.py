@@ -2,9 +2,9 @@
 
 The scheduler is the service's pluggable execution tier on top of
 :func:`~repro.experiments.runner.run_many`.  One instance describes a
-*placement policy* — in-process serial (``workers <= 1``, optionally
-through the vectorized batch kernel) or the persistent multi-process
-pool (``workers > 1``) — behind one interface, ``execute``, that a
+*placement policy* — in-process (``workers <= 1``) or the persistent
+multi-process pool (``workers > 1``), either one optionally through the
+vectorized batch kernel — behind one interface, ``execute``, that a
 multi-host shard would also satisfy (ship configs, stream back
 index-keyed results).
 
@@ -29,11 +29,13 @@ input order, ``on_result(index, ...)`` reporting run identity, RunErrors
 left in-place in collect mode — is what makes re-queueing sound; it is
 pinned by ``tests/experiments/test_runner.py::TestCollectOrderingContract``.
 
-In-process execution takes a module-wide lock: the simulator's packet-uid
-counter (and the warm-snapshot forks that rewind it) is process-global
-state, so two serial campaigns in two event-loop executor threads must
-not interleave.  Pool campaigns run in worker processes and need no lock
-on the submitting side — concurrent jobs simply share the pool.
+In-process execution is serialised by ``run_many`` itself, under the
+runner's ``_EXEC_LOCK``: the simulator's packet-uid counter (and the
+warm-snapshot forks that rewind it) is process-global state, so two
+in-process campaigns in two event-loop executor threads must not
+interleave.  ``run_many`` knows when a call runs in-process (``workers
+<= 1``, or a plan of one task), so it takes the lock exactly then; pool
+campaigns need no lock — concurrent jobs simply share the pool.
 """
 
 from __future__ import annotations
@@ -55,10 +57,6 @@ from repro.service.store import ResultStore
 
 __all__ = ["CampaignScheduler", "SchedulerError"]
 
-#: Serialises in-process simulation (see module docstring).  Pool-backed
-#: campaigns bypass it — worker processes are their own isolation.
-_EXEC_LOCK = threading.Lock()
-
 #: Serialises worker-loss recovery across concurrent campaigns.  Every
 #: in-flight ``run_many`` on a killed pool raises ``BrokenProcessPool``,
 #: so several scheduler threads race into recovery at once; the pool
@@ -77,15 +75,14 @@ class CampaignScheduler:
     Parameters
     ----------
     workers:
-        ``<= 1`` runs in-process (serial loop or, with ``batch``, the
-        vectorized many-seed kernel); ``> 1`` fans out over the
-        persistent process pool.
+        ``<= 1`` runs in-process; ``> 1`` fans out over the persistent
+        process pool.
     warm:
         Fork shared run prefixes from warm snapshots where profitable
         (bit-identical either way; see :mod:`repro.sim.snapshot`).
     batch:
-        In-process only: route eligible configs through
-        ``run_many(batch=N)``.
+        Route eligible configs through the vectorized many-seed kernel
+        (``run_many(batch=N)``), in-process or on the pool.
     chunk_size:
         Pool submission chunk size (None = auto).  The worker-kill tests
         pin it to 1 so a mid-campaign kill always has chunks in flight.
@@ -175,24 +172,15 @@ class CampaignScheduler:
             sub = [cfgs[i] for i in pending]
             gen = pool_generation()
             try:
-                if self.workers > 1:
-                    out = run_many(
-                        sub,
-                        workers=self.workers,
-                        warm=self.warm,
-                        chunk_size=self.chunk_size,
-                        on_error="collect",
-                        on_result=_cb,
-                    )
-                else:
-                    with _EXEC_LOCK:
-                        out = run_many(
-                            sub,
-                            warm=self.warm,
-                            batch=self.batch,
-                            on_error="collect",
-                            on_result=_cb,
-                        )
+                out = run_many(
+                    sub,
+                    workers=self.workers,
+                    warm=self.warm,
+                    batch=self.batch,
+                    chunk_size=self.chunk_size,
+                    on_error="collect",
+                    on_result=_cb,
+                )
             except BrokenExecutor as exc:
                 # a worker died: drop the poisoned pool, re-queue every
                 # replicate that had not landed, run again on a fresh one.

@@ -53,6 +53,7 @@ surfaced as the ``batch_fallback`` obs counter.
 from __future__ import annotations
 
 import gc
+import threading
 
 from collections import Counter as _Counter
 from itertools import repeat as _repeat
@@ -102,6 +103,12 @@ class _Inexpressible(Exception):
         self.reason = reason
 
 
+#: Guards every update of a :class:`BatchStats`: pool campaigns fold their
+#: workers' counts into ``STATS`` from their own threads (a lock cannot be
+#: a field: the stats are pickled back from pool workers).
+_STATS_LOCK = threading.Lock()
+
+
 @dataclass
 class BatchStats:
     """Process-wide accounting of batch-kernel engagement.
@@ -118,9 +125,23 @@ class BatchStats:
     fallback_runs: int = 0
     fallback_reasons: _Counter = field(default_factory=_Counter)
 
+    def record_batched(self, n_flows: int) -> None:
+        with _STATS_LOCK:
+            self.batched_runs += 1
+            self.batched_sessions += n_flows
+
     def record_fallback(self, reason: str, n: int = 1) -> None:
-        self.fallback_runs += n
-        self.fallback_reasons[reason] += n
+        with _STATS_LOCK:
+            self.fallback_runs += n
+            self.fallback_reasons[reason] += n
+
+    def merge(self, other: "BatchStats") -> None:
+        """Fold in counts taken elsewhere (a pool worker's, for one task)."""
+        with _STATS_LOCK:
+            self.batched_runs += other.batched_runs
+            self.batched_sessions += other.batched_sessions
+            self.fallback_runs += other.fallback_runs
+            self.fallback_reasons.update(other.fallback_reasons)
 
     def reset(self) -> None:
         self.batched_runs = 0
@@ -844,8 +865,7 @@ def run_batch(
                 )
                 net.channel.direct_finish = True
                 res = _run_suffix(cfg, sim, net, receivers, positions, keep_positions)
-                STATS.batched_runs += 1
-                STATS.batched_sessions += n_flows
+                STATS.record_batched(n_flows)
             except _Inexpressible as exc:
                 reset_uids(uid_start)
                 STATS.record_fallback(exc.reason)
@@ -858,9 +878,10 @@ def run_batch(
             if trace is not None:
                 absorb_trace(trace, recorder)
             results.append(res)
-            if gc_was_enabled and (s & 31) == 31:
+            if (s & 31) == 31:
                 # young-generation sweep only: frees the dead deployment
-                # graphs without rescanning the accumulated results
+                # graphs without rescanning the accumulated results (also
+                # when the caller has the collector parked)
                 gc.collect(0)
     finally:
         if gc_was_enabled:

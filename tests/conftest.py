@@ -26,6 +26,7 @@ else:
     settings.register_profile("explore", deadline=None, print_blob=True)
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
 
+from repro.experiments.runner import shutdown_pool
 from repro.mac.csma import CsmaMac
 from repro.mac.ideal import IdealMac
 from repro.net.network import Network
@@ -36,6 +37,29 @@ from repro.sim.kernel import Simulator
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator(seed=7)
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """``usable_cpus(n)`` makes the process see ``n`` usable CPUs,
+    whatever the host has (``runner.resolve_workers`` reads them)."""
+
+    def set_cpus(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+    return set_cpus
+
+
+@pytest.fixture
+def two_cpus(usable_cpus):
+    """Auto worker count resolves to 2, on a fresh shared pool that is
+    gone afterwards, so later tests (the service's worker-kill suite)
+    build their own."""
+    usable_cpus(2)
+    shutdown_pool()
+    yield
+    shutdown_pool()
 
 
 def make_grid_network(

@@ -5,11 +5,7 @@ import os
 import pytest
 
 from repro.experiments import figures, runner
-from repro.experiments.runner import (
-    pool_worker_pids,
-    resolve_workers,
-    shutdown_pool,
-)
+from repro.experiments.runner import pool_worker_pids, resolve_workers
 
 
 def test_sweep_result_accessors():
@@ -64,22 +60,6 @@ def test_fig10_snapshot_shapes():
 # --------------------------------------------------------------------- #
 # one campaign per sweep, on the host's cores
 # --------------------------------------------------------------------- #
-def _set_cpus(monkeypatch, n: int) -> None:
-    """Make the process see ``n`` usable CPUs, whatever the host has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: n)
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Auto worker count resolves to 2; the shared pool is gone afterwards,
-    so later tests (the service's worker-kill suite) build their own."""
-    _set_cpus(monkeypatch, 2)
-    shutdown_pool()
-    yield
-    shutdown_pool()
-
-
 def _assert_pool_used():
     assert len(pool_worker_pids()) == 2
 
@@ -121,9 +101,9 @@ def test_fig7_default_workers_match_serial_and_dedup_baselines(two_cpus, monkeyp
 
 
 @pytest.mark.parametrize("cpus,runs", [(1, 2), (4, 1)])
-def test_auto_workers_stay_serial_without_a_pool(monkeypatch, cpus, runs):
-    """One usable CPU, or a one-run sweep, resolves to the serial loop."""
-    _set_cpus(monkeypatch, cpus)
+def test_auto_workers_stay_serial_without_a_pool(monkeypatch, usable_cpus, cpus, runs):
+    """One usable CPU, or a one-run sweep, resolves to in-process execution."""
+    usable_cpus(cpus)
 
     def no_pool(workers):
         raise AssertionError(f"a pool of {workers} was requested")
@@ -133,8 +113,8 @@ def test_auto_workers_stay_serial_without_a_pool(monkeypatch, cpus, runs):
     assert len(sweep.runs[("odmrp", 10)]) == runs
 
 
-def test_resolve_workers(monkeypatch):
-    _set_cpus(monkeypatch, 3)
+def test_resolve_workers(monkeypatch, usable_cpus):
+    usable_cpus(3)
     assert resolve_workers(None, 100) == 3
     assert resolve_workers(None, 2) == 2
     assert resolve_workers(None, 0) == 1

@@ -6,17 +6,28 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import SimulationConfig
+import repro.experiments.runner as runner
 from repro.experiments.runner import (
     RunError,
     RunResult,
     aggregate,
     config_hash,
     monte_carlo,
+    pool_worker_pids,
     run_many,
     run_single,
 )
+from repro.sim.batch import STATS
+from repro.traffic.spec import ramp_plan
 
 FAST = dict(topology="grid", group_size=10, mac="ideal")
+
+#: small batch-eligible scenario (ideal MAC, lossless, HELLO warmup)
+ELIGIBLE = SimulationConfig(
+    protocol="mtmrp", topology="grid", grid_nx=6, grid_ny=6, side=120.0,
+    group_size=6, mac="ideal", hello_phase=True, hello_warmup=6.0,
+    construction_time=0.5, data_time=0.25,
+)
 
 
 class TestRunSingle:
@@ -73,7 +84,7 @@ class TestMonteCarlo:
 
     def test_run_many_serial(self):
         cfg = SimulationConfig(protocol="odmrp", **FAST)
-        results = run_many(monte_carlo(cfg, 4, batch_seed=1))
+        results = run_many(monte_carlo(cfg, 4, batch_seed=1), workers=1)
         assert len(results) == 4
         assert all(isinstance(r, RunResult) for r in results)
 
@@ -91,6 +102,7 @@ class TestRunManyStreaming:
         seen = []
         results = run_many(
             monte_carlo(cfg, 3, batch_seed=4),
+            workers=1,
             progress=lambda done, total, r: seen.append((done, total, r.seed)),
         )
         assert [d for d, _t, _s in seen] == [1, 2, 3]
@@ -210,7 +222,7 @@ class TestFailureIsolation:
         assert isinstance(err, RunError)
         assert err.worker_traceback and "Traceback" in err.worker_traceback
         # the healthy runs around the failure are untouched
-        serial = run_many([c for i, c in enumerate(cfgs) if i != 2])
+        serial = run_many([c for i, c in enumerate(cfgs) if i != 2], workers=1)
         assert [r for i, r in enumerate(results) if i != 2] == serial
 
     def test_invalid_on_error_rejected(self):
@@ -218,18 +230,27 @@ class TestFailureIsolation:
             run_many([], on_error="ignore")
 
     @pytest.mark.parametrize(
-        "opts", [dict(workers=2), dict(on_sample=lambda i, s: None)], ids=["workers", "on_sample"]
+        "opts",
+        [
+            dict(batch=4, workers=2),
+            dict(batch=4, on_sample=lambda i, s: None),
+            dict(warm=True, on_sample=lambda i, s: None),
+            dict(warm="always", on_sample=lambda i, s: None),
+        ],
+        ids=["workers", "on_sample", "warm_on_sample", "warm_always_on_sample"],
     )
     def test_batch_with_pool_or_sampling_rejected(self, opts, monkeypatch):
-        """The batch kernel is in-process and unobserved: asking for it
-        together with the pool or with sampling raises before any run."""
-        import repro.experiments.runner as runner
-
+        """Batch-kernel and warm-forked runs are unobserved: asking for
+        either together with sampling raises before any run.  The batch
+        kernel on the pool is no contradiction: it equals the serial run."""
+        cfgs = [ELIGIBLE.with_(seed=s) for s in range(4)]
+        if "on_sample" not in opts:
+            assert run_many(cfgs, **opts) == run_many(cfgs, batch=4, workers=1)
+            return
         monkeypatch.setattr(runner, "run_single", _must_not_run)
         monkeypatch.setattr(runner, "shared_pool", _must_not_run)
-        cfgs = monte_carlo(SimulationConfig(protocol="mtmrp", **FAST), 2, 7)
-        with pytest.raises(ValueError, match="batch"):
-            run_many(cfgs, batch=4, **opts)
+        with pytest.raises(ValueError, match="on_sample"):
+            run_many(cfgs, **opts)
 
 
 def _must_not_run(*args, **kwargs):
@@ -253,9 +274,9 @@ class TestWarmRunMany:
         )
         cfgs = [base.with_(backoff_w=w) for w in (0.001, 0.01)]
         cfgs += [c.with_(protocol="odmrp") for c in cfgs]
-        cold = run_many(cfgs)
-        assert run_many(cfgs, warm=True) == cold
-        assert run_many(cfgs, warm="always") == cold
+        cold = run_many(cfgs, workers=1)
+        assert run_many(cfgs, workers=1, warm=True) == cold
+        assert run_many(cfgs, workers=1, warm="always") == cold
         assert run_many(cfgs, workers=2, warm=True) == cold
 
 
@@ -304,7 +325,7 @@ class TestOnSample:
         cfg = SimulationConfig(protocol="mtmrp", **FAST)
         cfgs = monte_carlo(cfg, 3, batch_seed=5)
         rows = []
-        results = run_many(cfgs, on_sample=lambda i, s: rows.append((i, s)))
+        results = run_many(cfgs, workers=1, on_sample=lambda i, s: rows.append((i, s)))
         assert len(results) == 3
         assert sorted({i for i, _s in rows}) == [0, 1, 2]
         assert all(isinstance(s, Sample) for _i, s in rows)
@@ -317,7 +338,7 @@ class TestOnSample:
         cfg = SimulationConfig(protocol="mtmrp", **FAST)
         cfgs = monte_carlo(cfg, 4, batch_seed=5)
         serial_rows, parallel_rows = [], []
-        serial = run_many(cfgs, on_sample=lambda i, s: serial_rows.append((i, s)))
+        serial = run_many(cfgs, workers=1, on_sample=lambda i, s: serial_rows.append((i, s)))
         parallel = run_many(
             cfgs, workers=2, on_sample=lambda i, s: parallel_rows.append((i, s))
         )
@@ -340,6 +361,7 @@ class TestOnSample:
         rows = []
         run_many(
             monte_carlo(cfg, 1, batch_seed=5),
+            workers=1,
             on_sample=lambda i, s: rows.append(s.time),
             sample_window=0.5,
         )
@@ -359,8 +381,9 @@ class TestCollectOrderingContract:
     order, leaves collect-mode RunErrors in-place with ``.index`` equal
     to their position, and reports run identity (not completion order)
     through ``on_result``.  Exercised with failures scattered through the
-    campaign on all three paths: serial, the worker pool with
-    single-config chunks, and the vectorized batch kernel.
+    campaign on every path: in-process, the worker pool with
+    single-config chunks, and the vectorized batch kernel in-process and
+    on the pool.
     """
 
     def _mixed(self):
@@ -387,7 +410,8 @@ class TestCollectOrderingContract:
         cfgs, bad_at = self._mixed()
         seen = {}
         results = run_many(
-            cfgs, on_error="collect", on_result=lambda i, r: seen.setdefault(i, r)
+            cfgs, workers=1, on_error="collect",
+            on_result=lambda i, r: seen.setdefault(i, r),
         )
         self._check(cfgs, bad_at, results, seen)
 
@@ -404,16 +428,88 @@ class TestCollectOrderingContract:
         cfgs, bad_at = self._mixed()
         seen = {}
         results = run_many(
-            cfgs, batch=8, on_error="collect",
+            cfgs, workers=1, batch=8, on_error="collect",
             on_result=lambda i, r: seen.setdefault(i, r),
         )
         self._check(cfgs, bad_at, results, seen)
 
+    def test_batch_kernel_on_the_pool(self, two_cpus):
+        """Poisoned seeds inside pooled batch groups land at their index.
+
+        The poison (a negative backoff ``w``) only bites in the protocol
+        suffix, so the poisoned configs share the healthy seeds' batch
+        group; each sub-batch's kernel call fails and its configs rerun
+        one by one in the worker.
+        """
+        cfgs = [ELIGIBLE.with_(seed=s) for s in range(6)]
+        bad_at = (1, 4)
+        for i in bad_at:
+            cfgs[i] = cfgs[i].with_(backoff_w=-1.0)
+        seen = {}
+        results = run_many(
+            cfgs, batch=8, on_error="collect",
+            on_result=lambda i, r: seen.setdefault(i, r),
+        )
+        assert len(pool_worker_pids()) == 2
+        self._check(cfgs, bad_at, results, seen)
+
     def test_paths_agree_on_successes(self):
         cfgs, bad_at = self._mixed()
-        serial = run_many(cfgs, on_error="collect")
+        serial = run_many(cfgs, workers=1, on_error="collect")
         pool = run_many(cfgs, workers=2, chunk_size=1, on_error="collect")
-        batch = run_many(cfgs, batch=8, on_error="collect")
+        batch = run_many(cfgs, workers=1, batch=8, on_error="collect")
         for i in range(len(cfgs)):
             if i not in bad_at:
                 assert serial[i] == pool[i] == batch[i]
+
+
+def _batch_stats():
+    return (STATS.batched_runs, STATS.batched_sessions, STATS.fallback_runs,
+            dict(STATS.fallback_reasons))
+
+
+def _campaign(name):
+    """``(configs, run_many options)`` of the planner parity campaigns."""
+    if name == "batch_group":
+        return [ELIGIBLE.with_(seed=s) for s in range(25)], dict(batch=25)
+    if name == "mixed":
+        # batch-eligible seeds, CSMA HELLO configs forking one prefix,
+        # and static-bootstrap singles
+        cfgs = [ELIGIBLE.with_(seed=s) for s in range(6)]
+        cfgs += [ELIGIBLE.with_(seed=3, mac="csma", backoff_w=w) for w in (0.001, 0.01, 0.02)]
+        cfgs += [ELIGIBLE.with_(seed=s, hello_phase=False) for s in range(3)]
+        return cfgs, dict(batch=8, warm=True)
+    plan = ramp_plan(ELIGIBLE, 3)
+    return [ELIGIBLE.with_(seed=s, sessions=plan) for s in range(6)], dict(batch=6)
+
+
+class TestPlanner:
+    """One planner behind every path: the host's worker count (two CPUs
+    here) gives exactly the in-process results and batch counters."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_stats(self):
+        STATS.reset()
+        yield
+        STATS.reset()
+
+    @pytest.mark.parametrize("name", ["batch_group", "mixed", "multi_session"])
+    def test_default_workers_match_serial(self, two_cpus, name):
+        cfgs, opts = _campaign(name)
+        serial = run_many(cfgs, workers=1, **opts)
+        serial_stats = _batch_stats()
+        STATS.reset()
+        auto = run_many(cfgs, **opts)
+        assert len(pool_worker_pids()) == 2
+        assert auto == serial
+        # worker counts are folded into this process's, so the batch_*
+        # obs counters read the same at any worker count
+        assert _batch_stats() == serial_stats
+        assert serial_stats[0] > 0
+
+    @pytest.mark.parametrize("batch", [0, 4], ids=["one_run", "one_seed_batch_group"])
+    def test_one_task_plan_runs_in_process(self, two_cpus, monkeypatch, batch):
+        expected = run_many([ELIGIBLE], workers=1, batch=batch)
+        monkeypatch.setattr(runner, "shared_pool", _must_not_run)
+        assert run_many([ELIGIBLE], workers=2, batch=batch) == expected
+        assert run_many([ELIGIBLE], batch=batch) == expected

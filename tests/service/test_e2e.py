@@ -166,7 +166,7 @@ class TestWorkerKillRecovery:
     def test_killed_worker_loses_no_replicates(self, tmp_path):
         p = payload(replicates=10, batch_seed=77)
         spec = CampaignSpec.from_payload(p)
-        reference = [result_record(r) for r in run_many(spec.configs())]
+        reference = [result_record(r) for r in run_many(spec.configs(), workers=1)]
 
         killed = []
         lock = threading.Lock()

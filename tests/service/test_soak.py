@@ -72,7 +72,9 @@ def test_concurrent_fuzzed_clients_agree_with_serial_truth(scenarios):
     for p in payloads:
         spec = CampaignSpec.from_payload(p)
         if spec.key() not in refs:
-            refs[spec.key()] = [result_record(r) for r in run_many(spec.configs())]
+            refs[spec.key()] = [
+                result_record(r) for r in run_many(spec.configs(), workers=1)
+            ]
 
     async def main():
         with tempfile.TemporaryDirectory(prefix="repro-soak-") as tmp:

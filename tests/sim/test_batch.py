@@ -143,7 +143,7 @@ def test_corpus_scenario_through_batch_entry(name):
     assert current_uid() == uid_ref
     # the dispatch layer must agree with the gate: batched entry point
     # returns the same result either way, counting fallbacks when scalar
-    (via_many,) = run_many([cfg], batch=4)
+    (via_many,) = run_many([cfg], workers=1, batch=4)
     assert via_many == ref
     if not eligible:
         assert STATS.fallback_runs >= 1
@@ -331,20 +331,20 @@ class TestRunManyBatched:
         # a second group (different prefix) plus an ineligible straggler
         cfgs += [ELIGIBLE.with_(seed=s, group_size=5) for s in range(3)]
         cfgs += [ELIGIBLE.with_(seed=1, mac="csma")]
-        serial = run_many(cfgs)
-        batched = run_many(cfgs, batch=4)
+        serial = run_many(cfgs, workers=1)
+        batched = run_many(cfgs, workers=1, batch=4)
         assert batched == serial
 
     def test_batch_size_does_not_change_results(self):
         """Chunk boundaries are an execution detail, not an identity input."""
         cfgs = [ELIGIBLE.with_(seed=s) for s in range(5)]
-        assert run_many(cfgs, batch=2) == run_many(cfgs, batch=500)
+        assert run_many(cfgs, workers=1, batch=2) == run_many(cfgs, workers=1, batch=500)
 
     def test_progress_and_on_result_cover_every_run(self):
         cfgs = [ELIGIBLE.with_(seed=s) for s in range(4)]
         seen, ticks = {}, []
         out = run_many(
-            cfgs, batch=2,
+            cfgs, workers=1, batch=2,
             progress=lambda done, total, r: ticks.append((done, total)),
             on_result=lambda k, r: seen.__setitem__(k, r),
         )
@@ -441,10 +441,47 @@ class TestFallback:
         from repro.obs.registry import CounterRegistry
 
         run_many(
-            [ELIGIBLE.with_(seed=0), ELIGIBLE.with_(seed=1, mac="csma")], batch=4
+            [ELIGIBLE.with_(seed=0), ELIGIBLE.with_(seed=1, mac="csma")],
+            workers=1, batch=4,
         )
         reg = CounterRegistry().refresh()
         assert reg.counters["batch_runs"] == 1
         assert reg.counters["batch_fallback"] == 1
         assert reg.counters["batch_fallback.mac:csma"] == 1
         assert "batch_fallback.mac:csma" in reg.table()
+
+
+def test_stats_updates_from_many_threads_lose_nothing():
+    """Pool campaigns fold their workers' counts into STATS from their own
+    threads while in-process batches count into it: no update may be lost."""
+    import sys
+    import threading
+
+    part = batch_mod.BatchStats(batched_runs=1, batched_sessions=2, fallback_runs=1)
+    part.fallback_reasons["x"] = 1
+    n = 2000
+
+    def hammer(k):
+        for _ in range(n):
+            if k % 2:
+                STATS.merge(part)
+            else:
+                STATS.record_batched(2)
+                STATS.record_fallback("x")
+
+    threads = [threading.Thread(target=hammer, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    total = 8 * n
+    assert (STATS.batched_runs, STATS.batched_sessions, STATS.fallback_runs) == (
+        total, 2 * total, total,
+    )
+    assert STATS.fallback_reasons["x"] == total
