@@ -33,19 +33,13 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.check.harness import CheckHarness
-from repro.experiments.config import (
-    SimulationConfig,
-    make_agent_factory,
-    make_loss_model,
-    make_positions,
-)
+from repro.experiments.config import SimulationConfig
 from repro.faults.plan import FaultPlan
 from repro.protocols.repair import RepairPolicy
-from repro.sim.kernel import Simulator
+from repro.sim.hooks import RunHook, phase
 from repro.sim.trace import TraceKind, TraceRecorder, trace_digest
-from repro.traffic.engine import install_session_members, schedule_sessions
+from repro.traffic.engine import schedule_sessions
 from repro.traffic.metrics import session_deliveries
-from repro.traffic.spec import active_sessions
 
 __all__ = [
     "Scenario",
@@ -170,6 +164,39 @@ class ScenarioReport:
         return not self.violations
 
 
+class _Stressors(RunHook):
+    """Arms a scenario's mobility and faults before simulated time passes.
+
+    Fault times are absolute, and a HELLO warmup advances the clock past
+    early faults, so arming happens as the warmup begins — or, on a
+    static bootstrap, once the agents are bound.
+    """
+
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario = scenario
+        self._armed = False
+
+    def on_phase_begin(self, name: str, sim, net, **meta) -> None:
+        if name == "hello-warmup":
+            self._arm(net)
+
+    def on_bind(self, net, agents, cfg, receivers, members) -> None:
+        if not self._armed:
+            self._arm(net)
+
+    def _arm(self, net) -> None:
+        from repro.faults import FaultInjector
+
+        self._armed = True
+        sc = self.scenario
+        if sc.mobility is not None:
+            from repro.net.mobility import RandomWaypointMobility
+
+            RandomWaypointMobility(net, **sc.mobility).start()
+        plan = FaultPlan.from_dicts(sc.faults) if sc.faults else None
+        FaultInjector(net, plan=plan, energy_budget=sc.energy_budget).arm()
+
+
 def run_scenario(
     scenario: Scenario,
     mode: str = "collect",
@@ -181,166 +208,87 @@ def run_scenario(
     With ``mode="raise"`` the first violation propagates (tests); with
     ``mode="collect"`` all violations land on the report (campaigns).
     ``context`` overrides the repro description embedded in violations
-    (e.g. a corpus file path).
+    (e.g. a corpus file path).  The deployment comes from
+    :func:`~repro.sim.snapshot.build_prefix`, with the harness and the
+    stressors in its hook list.
     """
-    from repro.faults import FaultInjector
-    from repro.mac.csma import CsmaMac
-    from repro.mac.ideal import IdealMac
-    from repro.net.network import Network
+    from repro.experiments.runner import install_agents
     from repro.net.packet import reset_uids
+    from repro.sim.snapshot import build_prefix
 
     cfg = scenario.config
     reset_uids()
+    harness = CheckHarness(mode=mode, invariants=invariants)
+    harness.context = context if context is not None else scenario
+    hooks = (harness, _Stressors(scenario))
     trace = TraceRecorder(
         enabled_kinds={TraceKind.TX, TraceKind.DELIVER, TraceKind.MARK, TraceKind.NOTE}
     )
-    sim = Simulator(seed=cfg.seed, trace=trace)
-    harness = CheckHarness(mode=mode, invariants=invariants)
-    harness.attach(sim, context=context if context is not None else scenario)
-
-    positions = make_positions(cfg, sim.rng.stream("topology"))
-    net = Network(
-        sim,
-        positions,
-        comm_range=cfg.comm_range,
-        mac_factory=IdealMac if cfg.mac == "ideal" else CsmaMac,
-        perfect_channel=cfg.perfect_channel or cfg.mac == "ideal",
-        loss=make_loss_model(cfg, sim.rng.stream("loss")),
-    )
-    rng = sim.rng.stream("receivers")
-    candidates = np.arange(0, cfg.n_nodes)
-    candidates = candidates[candidates != cfg.source]
-    receivers = [
-        int(r) for r in rng.choice(candidates, size=cfg.group_size, replace=False)
-    ]
-    sess_plan = active_sessions(cfg)
-    session_recv = None
-    if sess_plan is None:
-        net.set_group_members(cfg.group, receivers)
-    else:
-        # the legacy draw's membership only lands when a session reuses
-        # it (mirrors build_prefix) — otherwise a plan session on
-        # cfg.group would see the union of both draws
-        if any(
-            s.receivers is None
-            and s.source == cfg.source
-            and s.group == cfg.group
-            and s.group_size == cfg.group_size
-            for s in sess_plan
-        ):
-            net.set_group_members(cfg.group, receivers)
-        session_recv = install_session_members(
-            cfg, sim, net, sess_plan, legacy_receivers=receivers
-        )
-    if cfg.hello_phase:
-        net.install_hello(period=cfg.hello_period)
-    agents = net.install(make_agent_factory(cfg))
-    if scenario.refresh_interval is not None:
+    sim, net, receivers, _positions, members = build_prefix(cfg, trace=trace, hooks=hooks)
+    agents, sess_plan, _ = install_agents(cfg, net, receivers, hooks)
+    refresh = scenario.refresh_interval
+    if refresh is not None:
         for a in agents:
-            a.fg_timeout = 2.5 * scenario.refresh_interval
+            a.fg_timeout = 2.5 * refresh
     if scenario.repair is not None:
         policy = RepairPolicy.from_dict(scenario.repair)
         for a in agents:
             if getattr(a, "supports_repair", False):
                 a.repair_policy = policy
-    net.start()
-    harness.bind_network(
-        net, agents, cfg.source, cfg.group, receivers, sessions=session_recv
-    )
 
-    if scenario.mobility is not None:
-        from repro.net.mobility import RandomWaypointMobility
-
-        RandomWaypointMobility(net, **scenario.mobility).start()
-    # arm before any time passes: fault times are absolute, and with
-    # hello_phase the warmup below advances the clock past early faults
-    plan = FaultPlan.from_dicts(scenario.faults) if scenario.faults else None
-    FaultInjector(net, plan=plan, energy_budget=scenario.energy_budget).arm()
-
-    if cfg.hello_phase:
-        sim.run(until=cfg.hello_warmup)  # let tables converge the real way
+    settle = cfg.effective_construction_time
+    if sess_plan is None:
+        flows = {(cfg.source, cfg.group): receivers}
+        src = agents[cfg.source]
+        with phase(hooks, "route-discovery", sim, net):
+            src.request_route(cfg.group)
+            sim.run(until=sim.now + settle)
     else:
-        net.bootstrap_neighbor_tables()
-
-    if sess_plan is not None:
         # multi-session traffic: the generic engine drives every flow's
         # discovery + CBR schedule; refresh/monitor stressors apply per
-        # session
+        # session, in receiver-draw order
+        flows = members
         t0 = sim.now
-        horizon = schedule_sessions(
-            cfg, sim, net, agents, sess_plan, session_recv, t0=t0
-        )
-        sim.run(
-            until=t0
-            + min(s.start for s in sess_plan)
-            + cfg.effective_construction_time
-        )
-        harness.checkpoint("route-discovery")
-        if scenario.refresh_interval is not None:
-            for spec in sess_plan:
-                agents[spec.source].start_periodic_refresh(
-                    spec.group, scenario.refresh_interval
-                )
-                if cfg.hello_phase:
-                    for r in session_recv[spec.flow]:
-                        agents[r].start_route_monitor(
-                            spec.source, spec.group, interval=1.0
-                        )
-        drain = (scenario.refresh_interval or 0.0) + 1.0
+        horizon = schedule_sessions(cfg, sim, net, agents, sess_plan, flows, t0=t0)
+        with phase(hooks, "route-discovery", sim, net):
+            sim.run(until=t0 + min(s.start for s in sess_plan) + settle)
+    if refresh is not None:
+        for (source, group), recv in flows.items():
+            agents[source].start_periodic_refresh(group, refresh)
+            if cfg.hello_phase:
+                # with live HELLO maintenance the receivers can watchdog
+                # their serving forwarder — a crash then produces a
+                # RouteError flood, the harness's third checkpoint
+                for r in recv:
+                    agents[r].start_route_monitor(source, group, interval=1.0)
+    if sess_plan is None:
+        t0 = sim.now
+        interval = 1.0 / scenario.rate_pps
+        for k in range(scenario.n_packets):
+            sim.schedule_at(t0 + k * interval, src.send_data, cfg.group, k)
+        horizon = t0 + scenario.n_packets * interval
+    drain = (refresh or 0.0) + 1.0
+    with phase(hooks, "data-delivery", sim, net):
         sim.run(until=horizon + drain)
-        if scenario.refresh_interval is not None:
-            for spec in sess_plan:
-                agents[spec.source].stop_periodic_refresh(spec.group)
-        harness.checkpoint("end-of-run")
-        harness.detach()
-        delivered_n = 0
-        n_recv = 0
-        for spec in sess_plan:
-            recv = set(session_recv[spec.flow])
-            nodes, _total = session_deliveries(trace, spec.flow)
-            delivered_n += len(nodes & recv)
-            n_recv += len(recv)
-        return ScenarioReport(
-            scenario=scenario,
-            violations=tuple(harness.report.violations),
-            checkpoints=tuple(harness.report.checkpoints),
-            delivered_receivers=delivered_n,
-            n_receivers=n_recv,
-            data_transmissions=trace.count(TraceKind.TX, "DataPacket"),
-            trace_sha256=trace_digest(trace),
+    if refresh is not None:
+        for source, group in flows:
+            agents[source].stop_periodic_refresh(group)
+    for h in hooks:
+        h.on_finish()
+
+    if sess_plan is None:
+        delivered = len(trace.nodes_with(TraceKind.DELIVER) & set(receivers))
+    else:
+        delivered = sum(
+            len(session_deliveries(trace, flow)[0] & set(recv))
+            for flow, recv in flows.items()
         )
-
-    src = agents[cfg.source]
-    src.request_route(cfg.group)
-    sim.run(until=sim.now + cfg.effective_construction_time)
-    harness.checkpoint("route-discovery")
-
-    if scenario.refresh_interval is not None:
-        src.start_periodic_refresh(cfg.group, scenario.refresh_interval)
-        if cfg.hello_phase:
-            # with live HELLO maintenance the receivers can watchdog their
-            # serving forwarder — a crash then produces a RouteError flood,
-            # which is exactly the harness's third checkpoint
-            for r in receivers:
-                agents[r].start_route_monitor(cfg.source, cfg.group, interval=1.0)
-    t0 = sim.now
-    interval = 1.0 / scenario.rate_pps
-    for k in range(scenario.n_packets):
-        sim.schedule_at(t0 + k * interval, src.send_data, cfg.group, k)
-    drain = (scenario.refresh_interval or 0.0) + 1.0
-    sim.run(until=t0 + scenario.n_packets * interval + drain)
-    if scenario.refresh_interval is not None:
-        src.stop_periodic_refresh(cfg.group)
-    harness.checkpoint("end-of-run")
-    harness.detach()
-
-    delivered = trace.nodes_with(TraceKind.DELIVER) & set(receivers)
     return ScenarioReport(
         scenario=scenario,
         violations=tuple(harness.report.violations),
         checkpoints=tuple(harness.report.checkpoints),
-        delivered_receivers=len(delivered),
-        n_receivers=len(receivers),
+        delivered_receivers=delivered,
+        n_receivers=sum(len(set(recv)) for recv in flows.values()),
         data_transmissions=trace.count(TraceKind.TX, "DataPacket"),
         trace_sha256=trace_digest(trace),
     )

@@ -4,9 +4,11 @@ Wiring order matters: :meth:`CheckHarness.attach` must run *before* the
 :class:`~repro.net.network.Network` is built (the channel caches a bound
 ``trace.emit`` at construction, and the harness's RouteError watcher
 shadows it), and :meth:`CheckHarness.bind_network` after agents are
-installed.  :func:`repro.experiments.runner.run_single` does both when
-given ``check=``; :func:`repro.check.fuzz.run_scenario` does the same for
-fault/mobility scenarios.
+installed.  As a run hook (:mod:`repro.sim.hooks`) the harness does both
+itself, checkpoints when route discovery ends and at the end of the run,
+then detaches: :func:`repro.experiments.runner.run_single` passes
+``check=`` in its hook list, and :func:`repro.check.fuzz.run_scenario`
+and the chaos campaign pass it to ``build_prefix`` beside their stressors.
 
 The harness only ever *reads* simulator state: it emits no trace records,
 draws from no rng stream, and schedules no events, so an attached harness
@@ -29,6 +31,7 @@ from repro.check.invariants import (
     scan_trace,
 )
 from repro.check.violations import Finding, InvariantViolation
+from repro.sim.hooks import RunHook
 from repro.sim.trace import TraceKind
 
 __all__ = ["CheckHarness", "CheckReport", "INVARIANTS"]
@@ -73,7 +76,7 @@ class CheckReport:
         return f"{len(self.violations)} violation(s): {detail}"
 
 
-class CheckHarness:
+class CheckHarness(RunHook):
     """Attach to a run and assert protocol invariants at checkpoints.
 
     Parameters
@@ -108,6 +111,8 @@ class CheckHarness:
         self.on_route_error = on_route_error
         self.report = CheckReport()
         self.seed: Optional[int] = None
+        #: repr-able run description embedded in violations; as a hook the
+        #: harness keeps a context set before the run, else uses the config
         self.context: Any = None
         # wiring
         self._sim = None
@@ -208,6 +213,23 @@ class CheckHarness:
         if self._watcher is not None and self._sim is not None:
             self._sim.trace.remove_watcher(self._watcher)
             self._watcher = None
+
+    # ------------------------------------------------------------------ #
+    # run hook events
+    # ------------------------------------------------------------------ #
+    def on_attach(self, sim, cfg) -> None:
+        self.attach(sim, context=cfg if self.context is None else self.context)
+
+    def on_bind(self, net, agents, cfg, receivers, members) -> None:
+        self.bind_network(net, agents, cfg.source, cfg.group, receivers, sessions=members)
+
+    def on_phase_end(self, name: str, sim, net) -> None:
+        if name == "route-discovery":
+            self.checkpoint(name)
+
+    def on_finish(self) -> None:
+        self.checkpoint("end-of-run")
+        self.detach()
 
     # ------------------------------------------------------------------ #
     # checkpoints

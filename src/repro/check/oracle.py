@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.experiments.config import SimulationConfig, make_positions
+from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import run_single
-from repro.sim.rng import RngRegistry
 
 __all__ = [
     "OracleResult",
@@ -94,10 +93,8 @@ def small_instance_oracle(
         side=side,
         mac=mac,
     )
-    res = run_single(cfg, cache=False)
-    registry = RngRegistry(seed)
-    positions = make_positions(cfg, registry.stream("topology"))
-    g = connectivity_graph(positions, cfg.comm_range)
+    res = run_single(cfg, cache=False, keep_positions=True)
+    g = connectivity_graph(res.positions, cfg.comm_range)
     optimum = brute_force_min_transmitters(g, cfg.source, res.receivers)
     return OracleResult(
         seed=seed,

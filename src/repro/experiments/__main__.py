@@ -7,7 +7,6 @@ Examples::
     python -m repro.experiments fig9
     python -m repro.experiments all --runs 10     # quick pass over everything
     python -m repro.experiments bench             # write BENCH_core.json
-    python -m repro.experiments scaling           # 200..2000-node sweep
 
 Output is plain text (tables + ASCII charts); redirect to a file to keep a
 record, e.g. ``python -m repro.experiments fig5 --runs 100 > fig5.txt``.
@@ -209,21 +208,6 @@ def _run_bench(args) -> None:
               f"vs {args.bench_compare}")
 
 
-def _run_scaling(args) -> None:
-    from repro.experiments.scaling import DEFAULT_SIZES, scaling_sweep, write_scaling_json
-
-    sizes = tuple(args.sizes) if args.sizes else tuple(DEFAULT_SIZES)
-    print(f"\n== Scaling sweep (MTMRP, paper density, sizes={sizes}) ==")
-    points = scaling_sweep(sizes=sizes, seed=args.seed if args.seed is not None else 7)
-    print(f"{'nodes':>7} {'build(s)':>9} {'run(s)':>8} {'events':>9} "
-          f"{'events/s':>10} {'frames':>8} {'delivers':>9}")
-    for p in points:
-        print(f"{p.n_nodes:>7} {p.build_s:>9.3f} {p.run_s:>8.3f} {p.events:>9} "
-              f"{p.events_per_s:>10,.0f} {p.frames_sent:>8} {p.delivers:>9}")
-    write_scaling_json(points)
-    print("[json] results/scaling.json")
-
-
 def _run_check(args) -> None:
     from repro.experiments.check import run_check
 
@@ -265,7 +249,6 @@ COMMANDS = {
     "load": _run_load,
     "faults": _run_faults,
     "bench": _run_bench,
-    "scaling": _run_scaling,
     "check": _run_check,
     "obs": _run_obs,
     "chaos": _run_chaos,
@@ -275,7 +258,7 @@ COMMANDS = {
 
 #: Utility commands excluded from ``all`` (they measure the machine, not
 #: the paper).
-_NON_FIGURE = {"bench", "scaling", "check", "obs", "chaos", "traffic", "serve"}
+_NON_FIGURE = {"bench", "check", "obs", "chaos", "traffic", "serve"}
 
 
 def main(argv=None) -> int:
@@ -326,10 +309,6 @@ def main(argv=None) -> int:
         "--bench-history", default=None, metavar="HISTORY_JSONL",
         help="bench: append one summary row to this JSON-lines trend file "
              "(e.g. BENCH_history.jsonl)",
-    )
-    parser.add_argument(
-        "--sizes", type=int, nargs="*", default=None,
-        help="scaling: deployment sizes to sweep (default 200 500 1000 2000)",
     )
     parser.add_argument(
         "--obs-out", default="results/obs",

@@ -31,15 +31,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.config import (
-    SimulationConfig,
-    make_agent_factory,
-    make_loss_model,
-    make_positions,
-)
+from repro.experiments.config import SimulationConfig
 from repro.faults.plan import FaultPlan
 from repro.protocols.repair import RepairPolicy
-from repro.sim.kernel import Simulator
+from repro.sim.hooks import phase
 from repro.sim.trace import TraceKind, TraceRecorder, trace_digest
 
 __all__ = [
@@ -166,7 +161,9 @@ def run_chaos_single(
     """Soak ``cfg``'s deployment in churn; one arm of the on/off comparison.
 
     Runs the full HELLO phase (the watchdog that detects dead forwarders
-    needs live neighbor expiry), establishes the tree, then streams
+    needs live neighbor expiry, so ``cfg.hello_phase`` must be set; a
+    config without it raises :class:`ValueError`), establishes the tree,
+    then streams
     ``n_packets`` CBR packets at ``rate_pps`` while
     :func:`build_churn_plan`'s schedule crashes and recovers tree nodes.
     ``policy=None`` is the rebuild-only baseline arm — behaviour is then
@@ -182,66 +179,45 @@ def run_chaos_single(
     greedy forwarding — the campaign's churn-oblivious baseline.
     """
     from repro.check.harness import CheckHarness
+    from repro.experiments.runner import install_agents
     from repro.faults import FaultInjector
-    from repro.mac.csma import CsmaMac
-    from repro.mac.ideal import IdealMac
     from repro.metrics.faults import (
         delivery_ratio,
         mean_time_to_recovery,
         time_in_state,
         windowed_delivery,
     )
-    from repro.net.network import Network
     from repro.net.packet import reset_uids
+    from repro.sim.snapshot import build_prefix
 
+    if not cfg.hello_phase:
+        raise ValueError(
+            "run_chaos_single needs cfg.hello_phase=True: its route watchdog "
+            "detects dead forwarders through HELLO neighbor expiry"
+        )
     reset_uids()
     geo = cfg.protocol == "gmr"
-    sim = Simulator(
-        seed=cfg.seed,
+    harness = CheckHarness(mode="collect") if check and not geo else None
+    hooks = [] if harness is None else [harness]
+    if harness is not None:
+        harness.context = f"chaos seed={cfg.seed} repair={policy is not None}"
+    sim, net, receivers, positions, _members = build_prefix(
+        cfg,
         trace=TraceRecorder(
             enabled_kinds={TraceKind.TX, TraceKind.DELIVER, TraceKind.MARK, TraceKind.NOTE}
         ),
+        hooks=hooks,
     )
-    harness = CheckHarness(mode="collect") if check and not geo else None
-    if harness is not None:
-        harness.attach(sim, context=f"chaos seed={cfg.seed} repair={policy is not None}")
-
-    positions = make_positions(cfg, sim.rng.stream("topology"))
-    net = Network(
-        sim,
-        positions,
-        comm_range=cfg.comm_range,
-        mac_factory=IdealMac if cfg.mac == "ideal" else CsmaMac,
-        perfect_channel=cfg.perfect_channel or cfg.mac == "ideal",
-        loss=make_loss_model(cfg, sim.rng.stream("loss")),
-    )
-    rng = sim.rng.stream("receivers")
-    candidates = np.arange(0, cfg.n_nodes)
-    candidates = candidates[candidates != cfg.source]
-    receivers = [
-        int(r) for r in rng.choice(candidates, size=cfg.group_size, replace=False)
-    ]
-    net.set_group_members(cfg.group, receivers)
-    net.install_hello(period=cfg.hello_period, share_position=geo)
-    agents = net.install(make_agent_factory(cfg))
+    agents, _plan, _members = install_agents(cfg, net, receivers, hooks)
+    src = agents[cfg.source]
     if not geo:
         for a in agents:
             a.fg_timeout = 2.5 * refresh_interval
-        if policy is not None:
-            for a in agents:
-                if getattr(a, "supports_repair", False):
-                    a.repair_policy = policy
-    net.start()
-    if harness is not None:
-        harness.bind_network(net, agents, cfg.source, cfg.group, receivers)
-
-    sim.run(until=cfg.hello_warmup)
-    src = agents[cfg.source]
-    if not geo:
-        src.request_route(cfg.group)
-        sim.run(until=sim.now + cfg.effective_construction_time)
-        if harness is not None:
-            harness.checkpoint("route-discovery")
+            if policy is not None and getattr(a, "supports_repair", False):
+                a.repair_policy = policy
+        with phase(hooks, "route-discovery", sim, net, protocol=cfg.protocol):
+            src.request_route(cfg.group)
+            sim.run(until=sim.now + cfg.effective_construction_time)
         src.start_periodic_refresh(cfg.group, refresh_interval)
         for r in receivers:
             agents[r].start_route_monitor(cfg.source, cfg.group, interval=monitor_interval)
@@ -270,12 +246,12 @@ def run_chaos_single(
             t = t0 + k * interval
             send_times[k] = t
             sim.schedule_at(t, src.send_data, cfg.group, k)
-    sim.run(until=data_end + refresh_interval + 1.0)
+    with phase(hooks, "data-delivery", sim, net, protocol=cfg.protocol):
+        sim.run(until=data_end + refresh_interval + 1.0)
     if not geo:
         src.stop_periodic_refresh(cfg.group)
-    if harness is not None:
-        harness.checkpoint("end-of-run")
-        harness.detach()
+    for h in hooks:
+        h.on_finish()
 
     trace = sim.trace
     counts = trace.counts

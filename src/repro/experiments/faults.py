@@ -20,13 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.config import (
-    SimulationConfig,
-    make_agent_factory,
-    make_loss_model,
-    make_positions,
-)
-from repro.sim.kernel import Simulator
+from repro.experiments.config import SimulationConfig
 from repro.sim.trace import TraceKind, TraceRecorder, trace_digest
 
 __all__ = ["FaultRunResult", "run_fault_single", "fault_sweep", "trace_digest"]
@@ -89,43 +83,28 @@ def run_fault_single(
       absolute simulation time);
     * ``energy_budget`` — per-node battery in joules; depletion kills;
     * ``cfg.loss_model`` — channel-level frame erasures.
+
+    The deployment (HELLO warmup or static bootstrap included) comes from
+    :func:`~repro.sim.snapshot.build_prefix`, like every other run.
     """
+    from repro.experiments.runner import install_agents
     from repro.faults import FaultInjector
-    from repro.mac.csma import CsmaMac
-    from repro.mac.ideal import IdealMac
     from repro.metrics.faults import collect_fault_metrics
-    from repro.net.network import Network
     from repro.net.packet import reset_uids
+    from repro.sim.snapshot import build_prefix
 
     reset_uids()  # uids are process-global; fresh sequence per run
-    sim = Simulator(
-        seed=cfg.seed,
+    sim, net, receivers, positions, _members = build_prefix(
+        cfg,
         trace=TraceRecorder(
             enabled_kinds={TraceKind.TX, TraceKind.DELIVER, TraceKind.MARK, TraceKind.NOTE}
         ),
     )
-    positions = make_positions(cfg, sim.rng.stream("topology"))
-    mac_factory = IdealMac if cfg.mac == "ideal" else CsmaMac
-    net = Network(
-        sim,
-        positions,
-        comm_range=cfg.comm_range,
-        mac_factory=mac_factory,
-        perfect_channel=cfg.perfect_channel or cfg.mac == "ideal",
-        loss=make_loss_model(cfg, sim.rng.stream("loss")),
-    )
-    rng = sim.rng.stream("receivers")
-    candidates = np.arange(0, cfg.n_nodes)
-    candidates = candidates[candidates != cfg.source]
-    receivers = [int(r) for r in rng.choice(candidates, size=cfg.group_size, replace=False)]
-    net.set_group_members(cfg.group, receivers)
-    net.bootstrap_neighbor_tables()
-    agents = net.install(make_agent_factory(cfg))
+    agents, _plan, _members = install_agents(cfg, net, receivers)
     for a in agents:
         # forwarder soft state must outlive one refresh period but expire
         # soon after, so a dead relay's tree entry ages out by itself
         a.fg_timeout = fg_timeout_factor * refresh_interval
-    net.start()
 
     src = agents[cfg.source]
     src.request_route(cfg.group)

@@ -39,7 +39,8 @@ import threading
 import traceback as _traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -49,13 +50,13 @@ from repro.experiments.config import (
     SimulationConfig,
     make_agent_factory,
 )
+from repro.sim.hooks import phase
 from repro.sim.rng import RngRegistry
 from repro.sim.snapshot import (
     SnapshotCache,
     WarmSnapshot,
     absorb_trace,
     build_prefix,
-    default_trace_kinds,
     prefix_key,
     warm_profitable,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "RunError",
     "run_single",
     "run_many",
+    "install_agents",
     "resolve_workers",
     "monte_carlo",
     "aggregate",
@@ -128,11 +130,6 @@ class RunResult:
     #: (:class:`repro.traffic.metrics.TrafficMetrics`); None on legacy
     #: single-session runs
     traffic: Optional[object] = None
-
-
-#: The record kinds a plain metrics run stores (definition lives next to
-#: the snapshot engine, which must agree with it exactly).
-_trace_kinds = default_trace_kinds
 
 
 # --------------------------------------------------------------------- #
@@ -210,7 +207,8 @@ def run_single(
         process-wide :class:`SnapshotCache`; a :class:`SnapshotCache`
         scopes reuse to the caller; a :class:`WarmSnapshot` must match
         this config's :func:`~repro.sim.snapshot.prefix_key`.  Ignored
-        for checked runs (the harness hooks the build sequence).
+        for checked or observed runs: ``check`` and ``obs`` ride the run
+        as hooks on the live kernel (see :mod:`repro.sim.hooks`).
     obs:
         Optional :class:`repro.obs.Observer` attached for the whole run:
         counters, protocol-phase spans (prefix-build, hello-warmup,
@@ -218,8 +216,8 @@ def run_single(
         observer reads state only, so the trace is bit-identical with or
         without it.  Observed runs are never cached and never warm-start
         (observer state isn't part of a snapshot); ``obs.finish()`` is
-        called before returning.  ``obs is None`` (the default) executes
-        zero observability code.
+        called before returning.  Without one (the default) the run
+        executes no observability code.
     """
     cache_dir: Optional[Path]
     if cache is False:
@@ -230,12 +228,12 @@ def run_single(
         cache_dir = Path(cache)
     from repro.traffic.spec import active_sessions
 
+    hooks = [h for h in (check, obs) if h is not None]
     cacheable = (
         cache_dir is not None
         and not keep_positions
         and trace is None
-        and check is None
-        and obs is None
+        and not hooks
         # multi-session results carry a structured TrafficMetrics payload
         # the flat JSON cache cannot round-trip
         and active_sessions(cfg) is None
@@ -246,7 +244,7 @@ def run_single(
         if cached is not None:
             return cached
 
-    warm = _resolve_warm(warm_start) if check is None and obs is None else None
+    warm = None if hooks else _resolve_warm(warm_start)
 
     # Pause cyclic GC across build + run + metrics: network assembly
     # allocates tens of thousands of containers whose churn triggers
@@ -259,9 +257,7 @@ def run_single(
         if warm is not None:
             result = _execute_warm(cfg, warm, keep_positions=keep_positions, trace=trace)
         else:
-            result = _execute_run(
-                cfg, keep_positions=keep_positions, trace=trace, check=check, obs=obs
-            )
+            result = _execute_run(cfg, keep_positions=keep_positions, trace=trace, hooks=hooks)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -328,32 +324,36 @@ def _execute_run(
     cfg: SimulationConfig,
     keep_positions: bool = False,
     trace: Optional[TraceRecorder] = None,
-    check=None,
-    obs=None,
+    hooks: Sequence = (),
 ) -> RunResult:
     """Build the network, run the round, and collect metrics (no caching)."""
-    if trace is None:
-        trace = TraceRecorder(enabled_kinds=_trace_kinds(cfg))
-    # harness/observer attach right after kernel creation — before the
-    # channel caches trace.emit
-    attach = None
-    if check is not None or obs is not None:
-        def attach(sim):
-            if check is not None:
-                check.attach(sim, context=cfg)
-            if obs is not None:
-                obs.attach(sim, context=cfg)
-    prefix = build_prefix(cfg, trace=trace, attach=attach, obs=obs)
-    return _run_suffix(
-        cfg,
-        prefix.sim,
-        prefix.net,
-        prefix.receivers,
-        prefix.positions,
-        keep_positions,
-        check=check,
-        obs=obs,
-    )
+    p = build_prefix(cfg, trace=trace, hooks=hooks)
+    return _run_suffix(cfg, p.sim, p.net, p.receivers, p.positions, keep_positions, hooks=hooks)
+
+
+def install_agents(cfg: SimulationConfig, net, receivers: Sequence[int], hooks: Sequence = ()):
+    """Install and start ``cfg``'s protocol agents, then bind the hooks.
+
+    The first step after the snapshot boundary, shared by every run and
+    experiment schedule.  HELLO agents (when present) were already started
+    by the prefix, so only the newly installed protocol agents are
+    started — their ``start()`` is a no-op, making this identical to the
+    historical ``net.start()`` pass.  Returns ``(agents, plan, members)``:
+    the per-node agents, the active session plan (None on single-session
+    runs) and each session's receivers by ``(source, group)``, recovered
+    from node memberships in node order.
+    """
+    from repro.traffic.engine import session_members
+    from repro.traffic.spec import active_sessions
+
+    agents = net.install(make_agent_factory(cfg))
+    for agent in agents:
+        agent.start()
+    plan = active_sessions(cfg)
+    members = None if plan is None else session_members(net, plan)
+    for h in hooks:
+        h.on_bind(net, agents, cfg, receivers, members)
+    return agents, plan, members
 
 
 def _run_suffix(
@@ -363,113 +363,52 @@ def _run_suffix(
     receivers: List[int],
     positions: np.ndarray,
     keep_positions: bool = False,
-    check=None,
-    obs=None,
+    hooks: Sequence = (),
 ) -> RunResult:
     """Install the protocol agents and run the discovery/data phases.
 
     Everything after the snapshot boundary: the only part of a run that
-    depends on ``protocol``/``backoff_*``/phase timings.  HELLO agents
-    (when present) were already started by the prefix, so only the newly
-    installed protocol agents are started here — their ``start()`` is a
-    no-op, making this identical to the historical ``net.start()`` pass.
+    depends on ``protocol``/``backoff_*``/phase timings.  Each phase is
+    ``(name, kick, until)``: ``kick`` starts it, then the kernel runs to
+    ``until`` between the hooks' phase events.
     """
     from repro.metrics.collect import collect_metrics
-    from repro.traffic.spec import active_sessions
 
-    agents = net.install(make_agent_factory(cfg))
-    for agent in agents:
-        agent.start()
-    geographic = cfg.protocol == "gmr"
-    plan = active_sessions(cfg)
-    members = traffic = None
-    if plan is not None:
-        from repro.traffic.engine import session_members
-
-        members = session_members(net, plan)
-
-    if check is not None:
-        if plan is not None:
-            check.bind_network(
-                net, agents, cfg.source, cfg.group, receivers, sessions=members
-            )
-        else:
-            check.bind_network(net, agents, cfg.source, cfg.group, receivers)
-    if obs is not None:
-        if members is not None:
-            # sampler delivery_ratio tracks every session's receivers;
-            # per-flow columns split the same series by SessionSpec.key()
-            obs.bind_network(
-                net,
-                sorted({m for ms in members.values() for m in ms}),
-                sessions={spec: members[spec.flow] for spec in plan},
-            )
-        else:
-            obs.bind_network(net, receivers)
-
+    agents, plan, members = install_agents(cfg, net, receivers, hooks)
     source_agent = agents[cfg.source]
     t0 = sim.now
     settle = cfg.effective_construction_time
+    end = t0 + settle + cfg.data_time
+    geographic = cfg.protocol == "gmr"
     if plan is not None:
         from repro.traffic.engine import schedule_sessions
 
-        if obs is not None:
-            obs.spans.begin("route-discovery", sim, protocol=cfg.protocol)
-        horizon = schedule_sessions(cfg, sim, net, agents, plan, members, t0=t0)
+        end = schedule_sessions(cfg, sim, net, agents, plan, members, t0=t0)
         first_data = t0 + min(s.start for s in plan) + settle
-        sim.run(until=first_data)
-        if obs is not None:
-            obs.spans.end(sim)
-        if check is not None:
-            check.checkpoint("route-discovery")
-        if obs is not None:
-            obs.spans.begin("data-delivery", sim, protocol=cfg.protocol)
-        sim.run(until=horizon)
-        if obs is not None:
-            obs.spans.end(sim)
+        phases = (("route-discovery", None, first_data), ("data-delivery", None, end))
     elif cfg.protocol == "flooding":
-        if obs is not None:
-            obs.spans.begin("data-delivery", sim, protocol=cfg.protocol)
-        source_agent.originate(cfg.group, 0)
-        sim.run(until=t0 + settle + cfg.data_time)
-        if obs is not None:
-            obs.spans.end(sim)
+        phases = (("data-delivery", partial(source_agent.originate, cfg.group, 0), end),)
     elif geographic:
         # stateless: no construction phase; the packet carries the
         # destination positions (the GMR assumption set)
-        if obs is not None:
-            obs.spans.begin("data-delivery", sim, protocol=cfg.protocol)
-        source_agent.multicast(
-            cfg.group, {d: net.node(d).position for d in receivers}, seq=0
-        )
-        sim.run(until=t0 + settle + cfg.data_time)
-        if obs is not None:
-            obs.spans.end(sim)
+        dests = {d: net.node(d).position for d in receivers}
+        phases = (("data-delivery", partial(source_agent.multicast, cfg.group, dests, seq=0), end),)
     else:
-        if obs is not None:
-            obs.spans.begin("route-discovery", sim, protocol=cfg.protocol)
-        source_agent.request_route(cfg.group)
-        sim.run(until=t0 + settle)
-        if obs is not None:
-            obs.spans.end(sim)
-        if check is not None:
-            check.checkpoint("route-discovery")
-        if obs is not None:
-            obs.spans.begin("data-delivery", sim, protocol=cfg.protocol)
-        source_agent.send_data(cfg.group, 0)
-        sim.run(until=t0 + settle + cfg.data_time)
-        if obs is not None:
-            obs.spans.end(sim)
-
-    if check is not None:
-        check.checkpoint("end-of-run")
-    if obs is not None:
-        obs.finish()
-
-    if plan is not None:
-        m, traffic = _traffic_run_metrics(
-            net, agents, cfg, plan, members, horizon - t0
+        phases = (
+            ("route-discovery", partial(source_agent.request_route, cfg.group), t0 + settle),
+            ("data-delivery", partial(source_agent.send_data, cfg.group, 0), end),
         )
+    for name, kick, until in phases:
+        with phase(hooks, name, sim, net, protocol=cfg.protocol):
+            if kick is not None:
+                kick()
+            sim.run(until=until)
+    for h in hooks:
+        h.on_finish()
+
+    traffic = None
+    if plan is not None:
+        m, traffic = _traffic_run_metrics(net, agents, cfg, plan, members, end - t0)
     elif cfg.protocol == "flooding":
         m = _flooding_metrics(net, cfg, receivers)
     elif geographic:
@@ -770,9 +709,9 @@ def resolve_workers(workers: Optional[int], n_runs: int) -> int:
 # the execution planner
 # --------------------------------------------------------------------- #
 #: One planned unit of work: ``(batched, items)`` with items ``(index,
-#: config, warm, sample_window)``.  A batched task is a sub-batch of one
-#: batch group; any other task is a chunk of runs executed one by one.
-_Item = Tuple[int, SimulationConfig, bool, Optional[float]]
+#: config, warm)``.  A batched task is a sub-batch of one batch group;
+#: any other task is a chunk of runs executed one by one.
+_Item = Tuple[int, SimulationConfig, bool]
 _Task = Tuple[bool, List[_Item]]
 
 #: Serialises in-process execution across threads: the packet-uid counter
@@ -787,7 +726,6 @@ def _plan(
     workers: int,
     flags: List[bool],
     batch: int,
-    window: Optional[float],
     chunk_size: Optional[int],
 ) -> List[_Task]:
     """Cut a campaign into batch groups, warm groups and singles.
@@ -802,7 +740,7 @@ def _plan(
     key first, so each process's snapshot cache sees a prefix's runs back
     to back and captures it at most once.
     """
-    items = [(k, c, flags[k], window) for k, c in enumerate(cfgs)]
+    items = [(k, c, flags[k]) for k, c in enumerate(cfgs)]
     tasks: List[_Task] = []
     if batch > 1:
         from repro.sim.batch import STATS, batch_eligible, batch_group_key
@@ -827,15 +765,12 @@ def _plan(
     return tasks + [(False, items[i:i + chunk_size]) for i in range(0, len(items), chunk_size)]
 
 
-def _task_rows(task: _Task, on_sample: Optional[Callable[[int, "object"], None]] = None):
-    """Run one task, yielding ``(index, result, exc, samples)`` per run.
+def _task_rows(task: _Task):
+    """Run one task, yielding ``(index, result, exc)`` per run.
 
     ``exc`` is what a failed run raised (its ``result`` is None).  A
     batch task whose kernel call raises reruns its configs one by one,
-    which pins the failure on its own run.  A run with a sample window
-    gets a private :class:`repro.obs.Observer`; its samples stream live
-    to ``on_sample(index, sample)`` when given, else they come back as
-    ``samples``.
+    which pins the failure on its own run.
     """
     batched, items = task
     if batched:
@@ -847,23 +782,15 @@ def _task_rows(task: _Task, on_sample: Optional[Callable[[int, "object"], None]]
             pass
         else:
             for it, res in zip(items, results):
-                yield it[0], res, None, None
+                yield it[0], res, None
             return
-    for idx, cfg, warm, window in items:
-        res = exc = samples = None
+    for idx, cfg, warm in items:
+        res = exc = None
         try:
-            if window is None:
-                res = run_single(cfg, warm_start=warm or None)
-            else:
-                from repro.obs import Observer
-
-                live = None if on_sample is None else (lambda s, _k=idx: on_sample(_k, s))
-                ob = Observer(window=window, on_sample=live)
-                res = run_single(cfg, obs=ob)
-                samples = None if live else ob.samples
+            res = run_single(cfg, warm_start=warm or None)
         except Exception as e:  # noqa: BLE001 - reported per run to the caller
             exc = e
-        yield idx, res, exc, samples
+        yield idx, res, exc
 
 
 def _run_task(task: _Task) -> tuple:
@@ -880,10 +807,10 @@ def _run_task(task: _Task) -> tuple:
         STATS.reset()
         stats = STATS
     rows = []
-    for idx, res, exc, samples in _task_rows(task):
+    for idx, res, exc in _task_rows(task):
         if exc is not None:
             exc = (repr(exc), "".join(_traceback.format_exception(exc)))
-        rows.append((idx, res, exc, samples))
+        rows.append((idx, res, exc))
     return rows, stats
 
 
@@ -895,8 +822,6 @@ def run_many(
     warm: Union[bool, str] = False,
     chunk_size: Optional[int] = None,
     on_result: Optional[Callable[[int, RunResult], None]] = None,
-    on_sample: Optional[Callable[[int, "object"], None]] = None,
-    sample_window: float = 0.25,
     batch: int = 0,
 ) -> List[RunResult]:
     """Run every config on the host's usable CPUs; results in input order.
@@ -937,12 +862,6 @@ def run_many(
     so each process captures a prefix at most once.  Results are
     bit-identical either way.
 
-    ``on_sample(index, sample)`` streams windowed telemetry: every run
-    gets a private :class:`repro.obs.Observer` emitting one
-    :class:`repro.obs.Sample` per ``sample_window`` simulated seconds.
-    In-process campaigns stream live (mid-run); pooled campaigns deliver
-    each run's samples, in time order, when its task lands.
-
     ``batch=N`` routes eligible configs through the vectorized many-seed
     kernel (:func:`repro.sim.batch.run_batch`).  Configs sharing a
     warm-snapshot ``prefix_key`` (seed aside) form a batch group, cut
@@ -951,27 +870,19 @@ def run_many(
     inexpressible configs fall back to scalar runs, counted in the
     ``batch_fallback`` obs counter (pool workers' counts are folded into
     this process's).  Callbacks fire in completion order.
-
-    Contradictory options raise :class:`ValueError` before any run:
-    ``on_sample`` together with ``batch > 1`` or with ``warm``, since
-    batch-kernel and warm-forked runs are unobserved.
     """
     if on_error not in ("raise", "collect"):
         raise ValueError(f'on_error must be "raise" or "collect", got {on_error!r}')
-    if on_sample is not None and (batch > 1 or warm):
-        clash = "batch > 1" if batch > 1 else f"warm={warm!r}"
-        raise ValueError(f"on_sample cannot be combined with {clash}: those runs are unobserved")
     cfgs = list(configs)
     total = len(cfgs)
     workers = max(1, resolve_workers(workers, total))
     force = warm == "always"
     flags = [bool(warm) and (force or warm_profitable(c)) for c in cfgs]
-    window = None if on_sample is None else float(sample_window)
-    tasks = _plan(cfgs, workers, flags, batch, window, chunk_size)
+    tasks = _plan(cfgs, workers, flags, batch, chunk_size)
     slots: List[Optional[RunResult]] = [None] * total
     done = 0
 
-    def land(idx: int, res, failure, samples) -> None:
+    def land(idx: int, res, failure) -> None:
         # ``failure``: an in-process run's exception, or the
         # ``(repr, traceback)`` pair a pool worker shipped
         nonlocal done
@@ -984,8 +895,6 @@ def run_many(
             if on_error == "raise":
                 raise err from cause
             res = err
-        for s in samples or ():
-            on_sample(idx, s)
         slots[idx] = res
         done += 1
         if on_result is not None:
@@ -1007,7 +916,7 @@ def run_many(
                 gc.disable()
             try:
                 for task in tasks:
-                    for row in _task_rows(task, on_sample):
+                    for row in _task_rows(task):
                         land(*row)
                         if paused and (done & 3) == 0:
                             gc.collect(0)

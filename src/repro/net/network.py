@@ -150,15 +150,17 @@ class Network:
         expiry: float = 3.5,
         jitter: float = 0.1,
         share_position: bool = False,
-    ) -> None:
+    ) -> List[HelloAgent]:
         """Install a :class:`HelloAgent` on every node (real HELLO phase)."""
-        for node in self.nodes:
+        return [
             node.add_agent(
                 HelloAgent(
                     period=period, expiry=expiry, jitter=jitter,
                     share_position=share_position,
                 )
             )
+            for node in self.nodes
+        ]
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -2,13 +2,14 @@
 
 :class:`Observer` attaches to a live simulator exactly the way
 :class:`repro.check.CheckHarness` does — ``attach(sim)`` before the
-Network is built, ``bind_network(...)`` after agents are installed —
-and ties the three observability pillars together:
+Network is built, ``bind_network(...)`` after agents are installed, both
+done for it as a run hook (:mod:`repro.sim.hooks`) — and ties the three
+observability pillars together:
 
 * a :class:`~repro.obs.registry.CounterRegistry` refreshed from the
   run's existing totals (trace counters, channel frames, node energy);
-* a :class:`~repro.obs.spans.SpanRecorder` that the runner brackets
-  around protocol phases (HELLO warmup, route discovery, data delivery)
+* a :class:`~repro.obs.spans.SpanRecorder` fed by the run's phase
+  events (prefix build, HELLO warmup, route discovery, data delivery)
   and that the observer extends with window-granular fault-recovery
   spans;
 * a :class:`~repro.obs.sampler.StreamingSampler` emitting windowed
@@ -21,7 +22,7 @@ bit-identical; and because counters are derived from totals the run
 already maintains, the attach overhead is a handful of kernel events per
 simulated second — bounded at <=10% of a full round by
 ``tests/obs/test_overhead.py``.  A run without an observer executes
-*zero* observability code (``run_single`` only checks ``obs is None``).
+*zero* observability code (its hook list is empty).
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from typing import Any, List, Optional, Sequence
 from repro.obs.registry import CounterRegistry
 from repro.obs.sampler import Sample, StreamingSampler
 from repro.obs.spans import SpanRecorder
+from repro.sim.hooks import RunHook
 
 __all__ = ["Observer"]
 
 
-class Observer:
+class Observer(RunHook):
     """Attachable run observer: counters + spans + streamed samples.
 
     Parameters
@@ -103,6 +105,35 @@ class Observer:
             self.sampler.bind_receivers(receivers)
         if self.sampler is not None and sessions:
             self.sampler.bind_sessions(sessions)
+
+    # ------------------------------------------------------------------ #
+    # run hook events
+    # ------------------------------------------------------------------ #
+    def on_attach(self, sim, cfg) -> None:
+        self.attach(sim, context=cfg)
+
+    def on_phase_begin(self, name: str, sim, net, **meta) -> None:
+        self.spans.begin(name, sim, **meta)
+
+    def on_phase_end(self, name: str, sim, net) -> None:
+        self.spans.end(sim)
+
+    def on_bind(self, net, agents, cfg, receivers, members) -> None:
+        if members is None:
+            self.bind_network(net, receivers)
+            return
+        from repro.traffic.spec import active_sessions
+
+        # sampler delivery_ratio tracks every session's receivers;
+        # per-flow columns split the same series by SessionSpec.key()
+        self.bind_network(
+            net,
+            sorted({m for ms in members.values() for m in ms}),
+            sessions={spec: members[spec.flow] for spec in active_sessions(cfg)},
+        )
+
+    def on_finish(self) -> None:
+        self.finish()
 
     def finish(self) -> "Observer":
         """Close a run: final sample, final counter refresh, close spans."""

@@ -72,7 +72,7 @@ class StreamingSampler:
         Simulated seconds per sample (> 0).
     on_sample:
         Optional callback invoked as ``on_sample(sample)`` the moment a
-        window closes — the streaming hook ``run_many(on_sample=)``
+        window closes — the streaming hook ``Observer(on_sample=)``
         builds on.  Exceptions propagate (a broken consumer should fail
         loudly, not silently corrupt its series).
     """

@@ -62,8 +62,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.net.neighbor import HelloAgent, NeighborEntry
+from repro.net.neighbor import NeighborEntry
 from repro.net.packet import HelloPacket, current_uid, reset_uids
+from repro.sim.hooks import RunHook
 from repro.sim.rng import BatchedStreams
 from repro.sim.trace import TraceKind, TraceRecord, TraceRecorder
 
@@ -259,68 +260,35 @@ class _HelloPlan:
 # --------------------------------------------------------------------- #
 # per-seed reconstruction
 # --------------------------------------------------------------------- #
+class _AdoptStreams(RunHook):
+    """Hook handing a new kernel one seed's pre-advanced rng registry.
+
+    The kernel's own registry made no draws and owns no streams, so
+    replacing it before the deployment build is inert.
+    """
+
+    def __init__(self, registry) -> None:
+        self.registry = registry
+
+    def on_attach(self, sim, cfg) -> None:
+        sim.rng = self.registry
+
+
 def _reconstruct_prefix(cfg, registry, recorder, plan: _HelloPlan, s: int):
     """Build one seed's deployment and its analytic warmup boundary.
 
-    Returns ``(sim, net, receivers, positions)`` in exactly the state
-    ``snapshot.build_prefix`` leaves after simulating the HELLO warmup.
+    Returns the :class:`~repro.sim.snapshot.ForkedPrefix` in exactly the
+    state ``snapshot.build_prefix`` leaves after simulating the HELLO
+    warmup: the same :func:`~repro.sim.snapshot.deploy` step, then the HELLO
+    agents installed (not started: their start/tick draws were consumed
+    by the plan) and their warmup written in place.
     """
-    from repro.experiments.config import make_loss_model, make_positions
-    from repro.mac.ideal import IdealMac
-    from repro.net.network import Network
-    from repro.sim.kernel import Simulator
-    from repro.traffic.spec import active_sessions
+    from repro.sim.snapshot import deploy
 
-    sim = Simulator(seed=cfg.seed, trace=recorder)
-    # adopt the pre-advanced per-seed streams (the ctor-built registry
-    # made no draws and owns no streams, so dropping it is inert)
-    sim.rng = registry
-    positions = make_positions(cfg, sim.rng.stream("topology"))
-    net = Network(
-        sim,
-        positions,
-        comm_range=cfg.comm_range,
-        mac_factory=IdealMac,
-        perfect_channel=True,
-        propagation=None,
-        loss=make_loss_model(cfg, sim.rng.stream("loss")),
-    )
-
-    recv_rng = sim.rng.stream("receivers")
-    candidates = np.arange(0, cfg.n_nodes)
-    candidates = candidates[candidates != cfg.source]
-    receivers = recv_rng.choice(candidates, size=cfg.group_size, replace=False)
-    receivers = [int(r) for r in receivers]
-    # group memberships before the HELLO agents: beacon sizes (and the
-    # neighbor-table group sets) depend on them.  Mirrors the membership
-    # branch of ``snapshot.build_prefix`` exactly — same legacy draw
-    # first, same identity-keyed per-session draws after.
-    session_plan = active_sessions(cfg)
-    if session_plan is None:
-        net.set_group_members(cfg.group, receivers)
-    else:
-        from repro.traffic.engine import install_session_members
-
-        if any(
-            spec.receivers is None
-            and spec.source == cfg.source
-            and spec.group == cfg.group
-            and spec.group_size == cfg.group_size
-            for spec in session_plan
-        ):
-            net.set_group_members(cfg.group, receivers)
-        install_session_members(cfg, sim, net, session_plan, legacy_receivers=receivers)
-
-    # install (but do not start) the HELLO agents: their start/tick draws
-    # were consumed by the plan, their effects are reconstructed below
-    agents: List[HelloAgent] = []
-    for node in net.nodes:
-        agent = HelloAgent(period=cfg.hello_period, share_position=False)
-        node.add_agent(agent)
-        agents.append(agent)
-
-    _apply_warmup(cfg, sim, net, agents, plan, s)
-    return sim, net, receivers, positions
+    prefix = deploy(cfg, recorder, hooks=(_AdoptStreams(registry),))
+    agents = prefix.net.install_hello(period=cfg.hello_period)
+    _apply_warmup(cfg, prefix.sim, prefix.net, agents, plan, s)
+    return prefix
 
 
 def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
@@ -860,7 +828,7 @@ def run_batch(
             uid_start = current_uid()
             recorder = TraceRecorder(enabled_kinds=enabled, counters_only=counters_only)
             try:
-                sim, net, receivers, positions = _reconstruct_prefix(
+                sim, net, receivers, positions, _members = _reconstruct_prefix(
                     cfg, streams.registry(s), recorder, plan, s
                 )
                 net.channel.direct_finish = True

@@ -25,8 +25,9 @@ matches.  Fields that only act after the boundary — ``protocol`` (except
 the geographic bit), ``backoff_n``/``backoff_w``, ``construction_time``,
 ``data_time`` — are deliberately excluded from the key; everything the
 prefix consumed (seed, topology, channel, loss model, HELLO timing) is
-included.  Runs under a :class:`repro.check.CheckHarness` never use
-snapshots (the harness wraps ``trace.emit`` before network construction).
+included.  Runs with hooks (a :class:`repro.check.CheckHarness`, an
+observer) never use snapshots: hooks attach to the live kernel before
+network construction.
 
 Cost model: a fork is one ``pickle.loads`` (a few ms for the paper's
 deployments) while a cold prefix costs up to hundreds of ms with a HELLO
@@ -41,10 +42,11 @@ import copy
 import io
 import pickle
 from collections import OrderedDict
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.sim.hooks import phase
 from repro.sim.trace import TraceKind, TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,6 +60,7 @@ __all__ = [
     "ForkedPrefix",
     "prefix_key",
     "build_prefix",
+    "deploy",
     "absorb_trace",
     "default_trace_kinds",
     "warm_profitable",
@@ -160,43 +163,38 @@ class ForkedPrefix(NamedTuple):
     net: "Network"
     receivers: List[int]
     positions: np.ndarray
+    #: multi-session runs: each session's receivers by ``(source, group)``,
+    #: in draw order (None on single-session runs)
+    members: Optional[Dict[Tuple[int, int], List[int]]] = None
 
 
-def build_prefix(
+def deploy(
     cfg: "SimulationConfig",
     trace: Optional[TraceRecorder] = None,
-    attach=None,
-    obs=None,
+    hooks: Sequence = (),
 ) -> ForkedPrefix:
-    """Build a deployment up to the snapshot boundary (cold path).
+    """Build the deployment: kernel, topology, channel, receiver draw.
 
-    Everything up to — and including — neighbor discovery: topology,
-    channel, receiver draw, then either the simulated HELLO warmup
-    (``cfg.hello_phase``, HELLO agents started) or the static bootstrap
-    fixed point.  Protocol agents are *not* installed; their ``start()``
-    is a no-op and they handle no HELLO traffic, so installing them after
-    the boundary is trace-identical to the historical single-pass build.
-
-    ``attach(sim)`` — when given — runs right after kernel creation,
-    before the channel caches ``trace.emit`` (the check-harness and
-    observer hook; such runs are never snapshotted).  ``obs`` — an
-    already-constructed :class:`repro.obs.Observer` — additionally
-    brackets the build and HELLO warmup in phase spans; its ``attach``
-    must be wired through the ``attach`` hook by the caller.
+    The ``prefix-build`` phase of :func:`build_prefix`, which every run
+    shares: hooks get ``on_attach`` right after kernel creation, then the
+    phase brackets topology, channel and group memberships.  Neighbor
+    discovery is left to the caller (the batch kernel writes its
+    analytic warmup in place of the simulated one).
     """
     from repro.experiments.config import make_loss_model, make_positions
     from repro.mac.csma import CsmaMac
     from repro.mac.ideal import IdealMac
     from repro.net.network import Network
     from repro.sim.kernel import Simulator
+    from repro.traffic.spec import active_sessions
 
     if trace is None:
         trace = TraceRecorder(enabled_kinds=default_trace_kinds(cfg))
     sim = Simulator(seed=cfg.seed, trace=trace)
-    if attach is not None:
-        attach(sim)
-    if obs is not None:
-        obs.spans.begin("prefix-build", sim, topology=cfg.topology, seed=cfg.seed)
+    for h in hooks:
+        h.on_attach(sim, cfg)
+    for h in hooks:
+        h.on_phase_begin("prefix-build", sim, None, topology=cfg.topology, seed=cfg.seed)
     positions = make_positions(cfg, sim.rng.stream("topology"))
     perfect = cfg.perfect_channel or cfg.mac == "ideal"
     mac_factory = IdealMac if cfg.mac == "ideal" else CsmaMac
@@ -231,9 +229,10 @@ def build_prefix(
     receivers = recv_rng.choice(candidates, size=cfg.group_size, replace=False)
     receivers = [int(r) for r in receivers]
 
-    from repro.traffic.spec import active_sessions
-
+    # group memberships before any HELLO agent: beacon sizes (and the
+    # neighbor-table group sets) depend on them
     plan = active_sessions(cfg)
+    members = None
     if plan is None:
         net.set_group_members(cfg.group, receivers)
     else:
@@ -252,25 +251,44 @@ def build_prefix(
             for s in plan
         ):
             net.set_group_members(cfg.group, receivers)
-        install_session_members(cfg, sim, net, plan, legacy_receivers=receivers)
+        members = install_session_members(cfg, sim, net, plan, legacy_receivers=receivers)
+    for h in hooks:
+        h.on_phase_end("prefix-build", sim, net)
+    return ForkedPrefix(sim, net, receivers, positions, members)
 
+
+def build_prefix(
+    cfg: "SimulationConfig",
+    trace: Optional[TraceRecorder] = None,
+    hooks: Sequence = (),
+) -> ForkedPrefix:
+    """Build a deployment up to the snapshot boundary (cold path).
+
+    Everything up to — and including — neighbor discovery: the
+    :func:`deploy` step, then either the simulated HELLO warmup
+    (``cfg.hello_phase``, HELLO agents started) or the static bootstrap
+    fixed point.  Protocol agents are *not* installed; their ``start()``
+    is a no-op and they handle no HELLO traffic, so installing them after
+    the boundary is trace-identical to the historical single-pass build.
+
+    ``hooks`` (see :mod:`repro.sim.hooks`) receive the kernel attach and
+    the ``prefix-build`` and ``hello-warmup`` phases.  Hooked runs are
+    never snapshotted: a hook attaches to the live kernel.
+    """
+    prefix = deploy(cfg, trace, hooks)
+    sim, net = prefix.sim, prefix.net
     geographic = cfg.protocol == "gmr"
-    if obs is not None:
-        obs.spans.end(sim)  # prefix-build
     if cfg.hello_phase:
         net.install_hello(period=cfg.hello_period, share_position=geographic)
         # start only the HELLO agents (all that exist before the boundary);
         # protocol agents are started individually by the suffix
         for node in net.nodes:
             node.start_agents()
-        if obs is not None:
-            with obs.spans.span("hello-warmup", sim):
-                sim.run(until=cfg.hello_warmup)
-        else:
+        with phase(hooks, "hello-warmup", sim, net):
             sim.run(until=cfg.hello_warmup)
     else:
         net.bootstrap_neighbor_tables(with_positions=geographic)
-    return ForkedPrefix(sim, net, receivers, positions)
+    return prefix
 
 
 #: bit-generator classes :func:`_rebuild_generator` can reconstruct.
@@ -456,18 +474,18 @@ class WarmSnapshot:
         from repro.net.packet import reset_uids
 
         if self._blob is not None:
-            sim, net, receivers, positions = _PrefixUnpickler(
-                io.BytesIO(self._blob), self._shared
-            ).load()
+            prefix = ForkedPrefix(
+                *_PrefixUnpickler(io.BytesIO(self._blob), self._shared).load()
+            )
             if self._prefix_records is not None:
                 # the blob carries an empty records list (pre-indexed to
                 # the boundary); hand this fork its own record-list copy
-                sim.trace.records = list(self._prefix_records)
+                prefix.sim.trace.records = list(self._prefix_records)
         else:
-            sim, net, receivers, positions = copy.deepcopy(tuple(self._live))
+            prefix = ForkedPrefix(*copy.deepcopy(tuple(self._live)))
         self.n_forks += 1
         reset_uids(self.uid_end)
-        return ForkedPrefix(sim, net, receivers, positions)
+        return prefix
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "pickle" if self._blob is not None else "deepcopy"

@@ -39,6 +39,12 @@ def grid_cfg(protocol="mtmrp", seed=90215):
     )
 
 
+def test_chaos_run_requires_the_hello_phase():
+    # the route watchdog detects dead forwarders through neighbor expiry
+    with pytest.raises(ValueError, match="hello_phase"):
+        run_chaos_single(grid_cfg().with_(hello_phase=False), **FAST_KWARGS)
+
+
 class TestChurnPlan:
     def _plan(self, seed=90215):
         cfg = grid_cfg(seed=seed)

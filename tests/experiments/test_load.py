@@ -38,3 +38,13 @@ def test_saturation_degrades_delivery():
     high = load_sweep(rates_pps=(100.0,), runs=3, n_packets=8)[100.0]
     assert high["delivery_ratio"] < low["delivery_ratio"]
     assert low["delivery_ratio"] >= 0.97
+
+
+def test_run_cbr_honours_the_loss_model():
+    """run_cbr builds through build_prefix, so the config's loss model
+    drops frames on the same seed."""
+    cfg = SimulationConfig(protocol="mtmrp", topology="grid", group_size=10,
+                           mac="ideal", seed=3)
+    lossless = run_cbr(cfg, 10.0, n_packets=5)
+    lossy = run_cbr(cfg.with_(loss_model="iid", loss_rate=0.5), 10.0, n_packets=5)
+    assert lossy.delivery_ratio < lossless.delivery_ratio == 1.0

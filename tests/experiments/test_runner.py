@@ -229,32 +229,16 @@ class TestFailureIsolation:
         with pytest.raises(ValueError, match="on_error"):
             run_many([], on_error="ignore")
 
-    @pytest.mark.parametrize(
-        "opts",
-        [
-            dict(batch=4, workers=2),
-            dict(batch=4, on_sample=lambda i, s: None),
-            dict(warm=True, on_sample=lambda i, s: None),
-            dict(warm="always", on_sample=lambda i, s: None),
-        ],
-        ids=["workers", "on_sample", "warm_on_sample", "warm_always_on_sample"],
-    )
-    def test_batch_with_pool_or_sampling_rejected(self, opts, monkeypatch):
-        """Batch-kernel and warm-forked runs are unobserved: asking for
-        either together with sampling raises before any run.  The batch
-        kernel on the pool is no contradiction: it equals the serial run."""
+    @pytest.mark.parametrize("opts", [dict(batch=4, workers=2)], ids=["workers"])
+    def test_batch_with_pool_or_sampling_rejected(self, opts):
+        """The batch kernel on the pool is no contradiction: it equals the
+        serial batch run."""
         cfgs = [ELIGIBLE.with_(seed=s) for s in range(4)]
-        if "on_sample" not in opts:
-            assert run_many(cfgs, **opts) == run_many(cfgs, batch=4, workers=1)
-            return
-        monkeypatch.setattr(runner, "run_single", _must_not_run)
-        monkeypatch.setattr(runner, "shared_pool", _must_not_run)
-        with pytest.raises(ValueError, match="on_sample"):
-            run_many(cfgs, **opts)
+        assert run_many(cfgs, **opts) == run_many(cfgs, batch=4, workers=1)
 
 
 def _must_not_run(*args, **kwargs):
-    raise AssertionError("work started despite contradictory options")
+    raise AssertionError("work started on a path that must stay unused")
 
 
 class TestOnResult:
@@ -316,61 +300,6 @@ class TestAggregatePercentiles:
         results = run_many(monte_carlo(cfg, 2, batch_seed=2))
         agg = aggregate(results, "data_transmissions")
         assert np.isfinite(agg["p50"]) and np.isfinite(agg["p95"])
-
-
-class TestOnSample:
-    def test_serial_streams_windows_per_run(self):
-        from repro.obs import Sample
-
-        cfg = SimulationConfig(protocol="mtmrp", **FAST)
-        cfgs = monte_carlo(cfg, 3, batch_seed=5)
-        rows = []
-        results = run_many(cfgs, workers=1, on_sample=lambda i, s: rows.append((i, s)))
-        assert len(results) == 3
-        assert sorted({i for i, _s in rows}) == [0, 1, 2]
-        assert all(isinstance(s, Sample) for _i, s in rows)
-        # within a run, windows arrive in time order
-        for k in range(3):
-            times = [s.time for i, s in rows if i == k]
-            assert times == sorted(times) and len(times) > 0
-
-    def test_parallel_delivers_same_samples_and_results(self):
-        cfg = SimulationConfig(protocol="mtmrp", **FAST)
-        cfgs = monte_carlo(cfg, 4, batch_seed=5)
-        serial_rows, parallel_rows = [], []
-        serial = run_many(cfgs, workers=1, on_sample=lambda i, s: serial_rows.append((i, s)))
-        parallel = run_many(
-            cfgs, workers=2, on_sample=lambda i, s: parallel_rows.append((i, s))
-        )
-        assert serial == parallel
-        # same per-run sample series regardless of execution mode
-        by_run = lambda rows, k: [s for i, s in rows if i == k]  # noqa: E731
-        for k in range(4):
-            assert by_run(serial_rows, k) == by_run(parallel_rows, k)
-
-    def test_sampled_results_match_unsampled(self):
-        """Attaching the per-run observers never changes the results."""
-        cfg = SimulationConfig(protocol="mtmrp", **FAST)
-        cfgs = monte_carlo(cfg, 2, batch_seed=5)
-        plain = run_many(cfgs)
-        sampled = run_many(cfgs, on_sample=lambda i, s: None)
-        assert plain == sampled
-
-    def test_sample_window_is_respected(self):
-        cfg = SimulationConfig(protocol="mtmrp", **FAST)
-        rows = []
-        run_many(
-            monte_carlo(cfg, 1, batch_seed=5),
-            workers=1,
-            on_sample=lambda i, s: rows.append(s.time),
-            sample_window=0.5,
-        )
-        assert rows[0] == pytest.approx(0.5)
-        # regular 0.5 s cadence; the final row is the end-of-run flush
-        # from Observer.finish() and may close a partial window
-        steps = [b - a for a, b in zip(rows, rows[1:-1])]
-        assert all(step == pytest.approx(0.5) for step in steps)
-        assert rows[-1] >= rows[-2]
 
 
 class TestCollectOrderingContract:
