@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test bench bench-micro figures figures-full examples clean
+.PHONY: install test bench figures figures-full examples clean
 
 install:
 	$(PY) setup.py develop
@@ -10,14 +10,10 @@ install:
 test:
 	$(PY) -m pytest tests/
 
-# regenerate the committed perf baseline (BENCH_core.json) and append
-# the run to the cross-PR trend file (BENCH_history.jsonl)
+# end-to-end benchmark: every workload, outputs checked against pinned
+# digests (bench/README.md; A/B two commits with bench/ab.py)
 bench:
-	PYTHONPATH=src $(PY) -m repro.experiments bench \
-		--bench-out BENCH_core.json --bench-history BENCH_history.jsonl
-
-bench-micro:
-	$(PY) -m pytest benchmarks/ --benchmark-only
+	python3 bench/run.py
 
 # reduced regeneration of every paper figure (minutes)
 figures:

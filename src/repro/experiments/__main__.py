@@ -6,10 +6,11 @@ Examples::
     python -m repro.experiments fig7 --runs 20
     python -m repro.experiments fig9
     python -m repro.experiments all --runs 10     # quick pass over everything
-    python -m repro.experiments bench             # write BENCH_core.json
 
 Output is plain text (tables + ASCII charts); redirect to a file to keep a
 record, e.g. ``python -m repro.experiments fig5 --runs 100 > fig5.txt``.
+The paper's claims about these figures are checked by ``tests/claims/``;
+speed is measured by the end-to-end benchmark, ``python3 bench/run.py``.
 """
 
 from __future__ import annotations
@@ -165,49 +166,6 @@ def _run_faults(args) -> None:
                   f"{v['recovered_runs']:>10.0%}")
 
 
-def _run_bench(args) -> None:
-    from repro.experiments.bench import append_history, compare_to_baseline, write_bench_json
-
-    out = args.bench_out
-    print(f"\n== Microbenchmarks (writing {out}) ==")
-    results = write_bench_json(out=out, fast=args.fast)
-    for name, entry in results.items():
-        if "wall_s" in entry:
-            speed = entry.get("speedup")
-            extra = f"  {speed:5.1f}x vs baseline" if speed is not None else ""
-            print(f"  {name:28s} {entry['wall_s'] * 1e3:9.3f} ms"
-                  f"  {entry['ops_per_s']:>12,.0f} ops/s{extra}")
-        else:
-            print(f"  {name:28s} {entry['peak_mb']:9.2f} MB peak"
-                  f"  ({entry['memory_ratio']:.1f}x below seed)")
-    # answer "why didn't my campaign batch?" without a debugger: the
-    # process-wide Monte Carlo batching tally with its reason histogram
-    from repro.sim.batch import STATS as _batch_stats
-
-    reasons = dict(sorted(_batch_stats.fallback_reasons.items()))
-    print(f"  [batch] runs={_batch_stats.batched_runs}"
-          f" sessions={_batch_stats.batched_sessions}"
-          f" fallback={_batch_stats.fallback_runs}"
-          + (f"  reasons={reasons}" if reasons else ""))
-    if args.bench_history:
-        p = append_history(results, args.bench_history,
-                           note="fast" if args.fast else "full")
-        print(f"  [history] appended to {p}")
-    if args.bench_compare:
-        regressions = compare_to_baseline(
-            results, args.bench_compare, threshold=args.bench_threshold
-        )
-        if regressions:
-            print(f"\n  REGRESSIONS vs {args.bench_compare} "
-                  f"(>{args.bench_threshold:.0%} slower):", file=sys.stderr)
-            for name, base, cur, ratio in regressions:
-                print(f"    {name:28s} {base * 1e3:9.3f} -> {cur * 1e3:9.3f} ms "
-                      f"({ratio:.2f}x)", file=sys.stderr)
-            raise SystemExit(1)
-        print(f"  [compare] no >{args.bench_threshold:.0%} regressions "
-              f"vs {args.bench_compare}")
-
-
 def _run_check(args) -> None:
     from repro.experiments.check import run_check
 
@@ -248,7 +206,6 @@ COMMANDS = {
     "ablations": _run_ablations,
     "load": _run_load,
     "faults": _run_faults,
-    "bench": _run_bench,
     "check": _run_check,
     "obs": _run_obs,
     "chaos": _run_chaos,
@@ -256,9 +213,9 @@ COMMANDS = {
     "serve": _run_serve,
 }
 
-#: Utility commands excluded from ``all`` (they measure the machine, not
-#: the paper).
-_NON_FIGURE = {"bench", "check", "obs", "chaos", "traffic", "serve"}
+#: Utility commands excluded from ``all`` (they drive tooling, not the
+#: paper's figures).
+_NON_FIGURE = {"check", "obs", "chaos", "traffic", "serve"}
 
 
 def main(argv=None) -> int:
@@ -286,29 +243,6 @@ def main(argv=None) -> int:
         "--cache", action="store_true",
         help="reuse identical runs from the results/cache/ disk cache "
              "(sets REPRO_RESULT_CACHE; delete the directory to invalidate)",
-    )
-    parser.add_argument(
-        "--bench-out", default="BENCH_core.json",
-        help="output path for the bench command",
-    )
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="bench: fewer repetitions (CI smoke mode)",
-    )
-    parser.add_argument(
-        "--bench-compare", default=None, metavar="BASELINE_JSON",
-        help="bench: compare against a committed BENCH_core.json and exit "
-             "non-zero on wall-time regressions beyond --bench-threshold",
-    )
-    parser.add_argument(
-        "--bench-threshold", type=float, default=0.25,
-        help="bench: allowed fractional slowdown before --bench-compare "
-             "fails (default 0.25 = 25%%)",
-    )
-    parser.add_argument(
-        "--bench-history", default=None, metavar="HISTORY_JSONL",
-        help="bench: append one summary row to this JSON-lines trend file "
-             "(e.g. BENCH_history.jsonl)",
     )
     parser.add_argument(
         "--obs-out", default="results/obs",

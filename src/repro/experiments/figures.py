@@ -12,8 +12,11 @@ fig10     single-run routing snapshot, random, 15 receivers
 ========  ==========================================================
 
 The paper averages over 100 Monte-Carlo rounds; pass ``runs=100`` to
-match (defaults are smaller so the benchmark suite stays fast — see
-EXPERIMENTS.md for full-scale results).
+match (defaults are smaller so a regeneration takes minutes — see
+EXPERIMENTS.md for full-scale results).  ``tests/claims/`` checks the
+paper's claims through these functions at 20 runs per point, and the
+``fig5_static`` workload of the end-to-end benchmark (``bench/``) times
+``fig5``.
 """
 
 from __future__ import annotations

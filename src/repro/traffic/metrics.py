@@ -14,7 +14,7 @@ Aggregate measures:
   means one session starved the rest.
 * **shared-forwarder ratio** — nodes forwarding for ≥ 2 sessions over
   nodes forwarding for ≥ 1: MTMRP's cross-session reuse, the quantity
-  the ``multisession_8x`` bench ramps against ODMRP.
+  the ``traffic`` CLI ramps against ODMRP.
 * **saturation** — a session set saturates the channel when aggregate
   delivery drops below a threshold (default 0.95); the ``traffic`` CLI
   ramps session count to locate the knee (see ``docs/TRAFFIC.md``).

@@ -172,8 +172,8 @@ def ramp_plan(
 
     Sources are spread evenly over the node id range (session 0 keeps the
     config's own source), groups are 1..n, and starts are staggered by
-    ``stagger`` seconds — the plan the ``traffic`` CLI and the
-    ``multisession_8x`` bench ramp from 1 to 8 sessions.  Receiver sets
+    ``stagger`` seconds — the plan the ``traffic`` CLI ramps from 1 to 8
+    sessions.  Receiver sets
     stay seeded draws (identity-keyed streams), so the same session keeps
     the same receivers at every ramp step.
     """

@@ -1,0 +1,173 @@
+"""Claims about the design ablations and extensions beyond the paper (DESIGN.md §6).
+
+* backoff terms: the full Eqs. (2)-(4) backoff is never much worse than a
+  variant missing one of its terms;
+* flooding, the Sec. I strawman, costs ~n transmissions;
+* stateless geographic multicast (GMR) delivers on the dense grid but
+  spends more data transmissions than MTMRP;
+* slow mobility with HELLO and periodic refresh keeps delivery high;
+* a mid-stream forwarder crash heals through the refresh cycle.
+"""
+
+import numpy as np
+import pytest
+
+from repro.analysis.stats import mean_ci
+from repro.core.backoff import BackoffParams, BiasedBackoff
+from repro.core.mtmrp import MtmrpAgent
+from repro.experiments import SimulationConfig, monte_carlo, run_single
+from repro.experiments.faults import run_fault_single
+from repro.mac.csma import CsmaMac
+from repro.mac.ideal import IdealMac
+from repro.net.mobility import RandomWaypointMobility
+from repro.net.network import Network
+from repro.net.topology import grid_topology
+from repro.protocols.gmr import GmrAgent
+from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceKind
+
+from tests.claims.helpers import RUNS
+from tests.conftest import make_grid_network, run_multicast_round
+
+
+class _RelayOnly(BiasedBackoff):
+    def path_scale(self, path_profit: int) -> float:
+        return 1.0  # PathProfit ignored
+
+
+class _PathOnly(BiasedBackoff):
+    def relay_delay(self, relay_profit: int) -> float:
+        return self.params.n * self.params.w / 2.0  # RelayProfit ignored
+
+
+class _NoMemberBias(BiasedBackoff):
+    def jitter_bounds(self, is_member: bool):
+        return (0.0, self.params.w)  # everyone gets the member band
+
+
+def _data_tx(backoff_cls, seed: int) -> int:
+    """One CSMA grid round of MTMRP with ``backoff_cls``; receivers drawn from ``seed``."""
+    sim = Simulator(seed=seed)
+    net = make_grid_network(sim, mac="csma", perfect=False)
+    receivers = np.random.default_rng(4000 + seed).choice(np.arange(1, 100), size=20, replace=False).tolist()
+    run_multicast_round(sim, net, lambda: MtmrpAgent(backoff=backoff_cls(BackoffParams())), receivers)
+    return sim.trace.count(TraceKind.TX, "DataPacket")
+
+
+def test_full_backoff_within_three_transmissions_of_every_variant():
+    seeds = range(2 * RUNS)
+    full = np.array([_data_tx(BiasedBackoff, s) for s in seeds], dtype=float)
+    for variant in (_RelayOnly, _PathOnly, _NoMemberBias):
+        diff = full - np.array([_data_tx(variant, s) for s in seeds], dtype=float)
+        assert mean_ci(diff)["hi"] < 3.0, variant.__name__
+
+
+def test_flooding_costs_every_node():
+    flood = run_single(SimulationConfig(protocol="flooding", topology="grid", group_size=20, seed=11))
+    assert flood.data_transmissions >= 95
+    assert flood.delivery_ratio == 1.0
+    mt = run_single(SimulationConfig(protocol="mtmrp", topology="grid", group_size=20, seed=11))
+    assert mt.data_transmissions < flood.data_transmissions / 2
+
+
+def test_gmr_delivers_but_spends_more_than_mtmrp():
+    gmr_tx, delivered = [], []
+    for seed in range(2 * RUNS):
+        sim = Simulator(seed=seed)
+        net = Network(sim, grid_topology(), comm_range=40.0, mac_factory=IdealMac, perfect_channel=True)
+        dests = np.random.default_rng(7000 + seed).choice(np.arange(1, 100), size=20, replace=False).tolist()
+        net.bootstrap_neighbor_tables(with_positions=True)
+        agents = net.install(lambda node: GmrAgent())
+        net.start()
+        agents[0].multicast(1, {d: net.node(d).position for d in dests})
+        sim.run(until=2.0)
+        gmr_tx.append(sim.trace.count(TraceKind.TX, "GeoDataPacket"))
+        delivered.append(len(sim.trace.nodes_with(TraceKind.DELIVER)) / 20)
+    assert np.mean(delivered) >= 0.95  # dense grid: greedy geographic rarely voids
+    mt_tx = [
+        run_single(SimulationConfig(
+            protocol="mtmrp", topology="grid", group_size=20, seed=7000 + seed, mac="ideal",
+        )).data_transmissions
+        for seed in range(2 * RUNS)
+    ]
+    # different receiver draws: the runs do not pair
+    assert mean_ci(mt_tx)["hi"] < mean_ci(gmr_tx)["lo"]
+
+
+def test_slow_mobility_keeps_delivery_high():
+    sim = Simulator(seed=5)
+    net = Network(sim, grid_topology(), comm_range=40.0, mac_factory=CsmaMac)
+    receivers = np.random.default_rng(2).choice(np.arange(1, 100), size=12, replace=False).tolist()
+    net.set_group_members(1, receivers)
+    net.install_hello(period=1.0)
+    agents = net.install(lambda node: MtmrpAgent(fg_timeout=6.0))
+    net.start()
+    RandomWaypointMobility(net, speed_min=0.2, speed_max=0.5).start()
+    sim.run(until=3.0)
+    agents[0].request_route(1)
+    agents[0].start_periodic_refresh(1, interval=3.0)
+    # send each packet 1 s after a refresh round, not *at* the tick (a
+    # packet racing the refresh flood is the known soft-state boundary case)
+    sim.run(until=7.0)
+    got = 0
+    for k in range(3):
+        agents[0].send_data(1, k)
+        sim.run(until=sim.now + 3.0)
+        got += len({r.node for r in sim.trace.filter(kind=TraceKind.DELIVER) if r.detail == (0, 1, k)})
+    assert got / (3 * 12) >= 0.85
+
+
+# --------------------------------------------------------------------- #
+# forwarder crash: MTMRP streams CBR on the ideal MAC, one seeded
+# mid-tree forwarder dies mid-stream, the refresh cycle heals the tree
+# --------------------------------------------------------------------- #
+REFRESH = 2.0
+_MISSES_AT_20_RUNS = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="EXPERIMENTS.md, forwarder crash: the stream lasts one refresh "
+           "interval, so a crash that only the first refresh heals leaves no "
+           "packet to show it, and packets in flight at the crash are lost",
+)
+
+
+@pytest.fixture(scope="module")
+def crash_runs():
+    base = SimulationConfig(protocol="mtmrp", topology="grid", group_size=20, mac="ideal")
+    kw = dict(n_packets=20, rate_pps=10.0, refresh_interval=REFRESH, crash_forwarder_at=0.55)
+    cfgs = monte_carlo(base, RUNS, batch_seed=4242)
+    return (
+        [run_fault_single(cfg, **kw) for cfg in cfgs],
+        [run_fault_single(cfg.with_(loss_model="iid", loss_rate=0.1), **kw) for cfg in cfgs],
+    )
+
+
+def test_crash_kills_a_forwarder_without_partition(crash_runs):
+    crash, _ = crash_runs
+    assert all(r.crashes >= 1 for r in crash)
+    # one dead node cannot cut the 10x10 lattice
+    assert all(r.time_to_first_partition is None for r in crash)
+
+
+@_MISSES_AT_20_RUNS
+def test_tree_healthy_before_crash(crash_runs):
+    assert all(r.pre_fault_delivery > 0.9 for r in crash_runs[0])
+
+
+@_MISSES_AT_20_RUNS
+def test_every_run_recovers(crash_runs):
+    assert all(r.recovery_latency is not None for r in crash_runs[0])
+
+
+def test_recovery_within_one_refresh_interval(crash_runs):
+    assert all(r.recovery_latency <= REFRESH for r in crash_runs[0] if r.recovery_latency is not None)
+
+
+@_MISSES_AT_20_RUNS
+def test_post_crash_delivery_stays_high(crash_runs):
+    assert np.mean([r.post_fault_delivery for r in crash_runs[0]]) > 0.9
+
+
+def test_lossy_links_mostly_absorbed(crash_runs):
+    _, lossy = crash_runs
+    assert all(r.frames_lost > 0 for r in lossy)
+    assert np.mean([r.delivery_ratio for r in lossy]) > 0.4

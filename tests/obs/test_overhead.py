@@ -1,7 +1,8 @@
-"""The observability tax: <=10% on the benchmark's full-round case.
+"""The observability tax: <=10% on one paper-default grid round.
 
-Two guards on the same workload (``full_mtmrp_round_grid`` from
-``repro.experiments.bench``: MTMRP, grid, 20 receivers, seed 5):
+Two guards on the same run (MTMRP, grid, 20 receivers, seed 5, on the
+paper-default scalar path that the ``fig5_static`` benchmark workload
+times):
 
 * **identity** — the observed run's trace sha256 is byte-identical to
   the detached run's (deterministic; the real contract);
@@ -21,8 +22,8 @@ from repro.net.packet import reset_uids
 from repro.obs import Observer
 from repro.sim.trace import TraceRecorder, trace_digest
 
-#: the exact config bench.py times as full_mtmrp_round_grid
-BENCH_CFG = SimulationConfig(protocol="mtmrp", topology="grid", group_size=20, seed=5)
+#: one paper-default grid round
+ROUND_CFG = SimulationConfig(protocol="mtmrp", topology="grid", group_size=20, seed=5)
 
 #: allowed observed/detached wall-time ratio
 MAX_OVERHEAD = 1.10
@@ -30,7 +31,7 @@ MAX_OVERHEAD = 1.10
 
 def _run(obs=None, trace=None):
     reset_uids()
-    return run_single(BENCH_CFG, cache=False, obs=obs, trace=trace)
+    return run_single(ROUND_CFG, cache=False, obs=obs, trace=trace)
 
 
 def test_observed_trace_sha256_byte_identical():
@@ -63,5 +64,5 @@ def test_attached_overhead_within_ten_percent():
             break
     assert best_ratio <= MAX_OVERHEAD, (
         f"observer overhead {(best_ratio - 1) * 100:.1f}% exceeds "
-        f"{(MAX_OVERHEAD - 1) * 100:.0f}% on full_mtmrp_round_grid"
+        f"{(MAX_OVERHEAD - 1) * 100:.0f}% on a paper-default grid round"
     )

@@ -73,5 +73,6 @@ def test_heuristics_lower_bounded_by_optimum():
     rng = np.random.default_rng(7)
     recvs = rng.choice(np.arange(1, 36), size=8, replace=False).tolist()
     opt = exact_min_transmitters(g, 0, recvs, time_limit=30)
+    assert is_valid_transmitter_set(g, opt, 0, recvs)
     assert len(greedy_cover_transmitters(g, 0, recvs)) >= len(opt)
     assert len(node_join_tree(g, 0, recvs)) >= len(opt)
