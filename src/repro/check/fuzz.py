@@ -276,6 +276,7 @@ def run_scenario(
     for h in hooks:
         h.on_finish()
 
+    net.close()
     if sess_plan is None:
         delivered = len(trace.nodes_with(TraceKind.DELIVER) & set(receivers))
     else:

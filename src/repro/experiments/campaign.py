@@ -7,8 +7,12 @@ Re-running a campaign skips configurations already present, so a
 resumed — the pattern the hpc-parallel guides recommend for long
 parameter sweeps.
 
-File format: one JSON object per line with the full config and the run's
-metrics (positions/transmitter sets excluded to keep files small).
+File format: one JSON object per line with the full config, the run's
+metrics (positions/transmitter sets excluded to keep files small) and the
+:data:`~repro.experiments.runner.CACHE_VERSION` it was computed under.
+A record from another version (or from before records carried one) is
+ignored on load, so resuming after a change of run semantics re-runs it
+instead of mixing old results into the new campaign.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.runner import RunError, RunResult, run_many
+from repro.experiments.runner import CACHE_VERSION, RunError, RunResult, run_many
 
 __all__ = ["run_campaign", "load_campaign", "config_key"]
 
@@ -57,11 +61,16 @@ def config_key(cfg: SimulationConfig) -> str:
 def _result_record(cfg: SimulationConfig, res: RunResult) -> Dict:
     rec = {f: getattr(res, f) for f in _RESULT_FIELDS}
     rec["_config"] = dataclasses.asdict(cfg)
+    rec["_version"] = CACHE_VERSION
     return rec
 
 
 def load_campaign(path: str | Path) -> Tuple[Dict[str, Dict], List[Dict]]:
-    """Read a campaign file; returns (by-config-key index, record list)."""
+    """Read a campaign file; returns (by-config-key index, record list).
+
+    Records computed under another ``CACHE_VERSION`` are skipped: they are
+    neither indexed nor returned, so :func:`run_campaign` re-runs them.
+    """
     p = Path(path)
     index: Dict[str, Dict] = {}
     records: List[Dict] = []
@@ -73,6 +82,8 @@ def load_campaign(path: str | Path) -> Tuple[Dict[str, Dict], List[Dict]]:
             if not line:
                 continue
             rec = json.loads(line)
+            if rec.get("_version") != CACHE_VERSION:
+                continue
             records.append(rec)
             cfg = SimulationConfig(**rec["_config"])
             index[config_key(cfg)] = rec

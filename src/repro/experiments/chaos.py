@@ -267,6 +267,7 @@ def run_chaos_single(
         trace, receivers, send_times, source=cfg.source, group=cfg.group
     )
     states = time_in_state(trace, float(sim.now))
+    net.close()
     return ChaosRunResult(
         protocol=cfg.protocol,
         seed=cfg.seed,

@@ -138,7 +138,7 @@ def run_fault_single(
         group=cfg.group,
         threshold=recovery_threshold,
     )
-    return FaultRunResult(
+    result = FaultRunResult(
         protocol=cfg.protocol,
         seed=cfg.seed,
         packets_sent=fm.packets_sent,
@@ -159,6 +159,8 @@ def run_fault_single(
             getattr(n.mac, "dropped_retry", 0) for n in net.nodes
         ),
     )
+    net.close()
+    return result
 
 
 def fault_sweep(

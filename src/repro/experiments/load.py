@@ -72,6 +72,7 @@ def run_cbr(
             delivered += 1
     data_tx = sim.trace.count(TraceKind.TX, "DataPacket")
     duration = n_packets * interval
+    net.close()
     return CbrResult(
         protocol=cfg.protocol,
         rate_pps=rate_pps,

@@ -249,7 +249,9 @@ def run_single(
     # Pause cyclic GC across build + run + metrics: network assembly
     # allocates tens of thousands of containers whose churn triggers
     # pointless gen-0 scans (the run loop pauses GC on its own, but the
-    # build phase is a comparable allocation burst).
+    # build phase is a comparable allocation burst).  Nothing is left
+    # for the collector afterwards: the suffix closes the deployment,
+    # so reference counting frees it.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
@@ -370,7 +372,9 @@ def _run_suffix(
     Everything after the snapshot boundary: the only part of a run that
     depends on ``protocol``/``backoff_*``/phase timings.  Each phase is
     ``(name, kick, until)``: ``kick`` starts it, then the kernel runs to
-    ``until`` between the hooks' phase events.
+    ``until`` between the hooks' phase events.  The network is closed
+    once the result is built, so the deployment is freed by reference
+    counting (see :meth:`repro.net.network.Network.close`).
     """
     from repro.metrics.collect import collect_metrics
 
@@ -441,6 +445,7 @@ def _run_suffix(
         positions=positions if keep_positions else None,
         traffic=traffic,
     )
+    net.close()
     return result
 
 
@@ -903,27 +908,10 @@ def run_many(
             progress(done, total, res)
 
     if workers == 1 or len(tasks) <= 1:
-        # Every run builds a deployment of cyclic object graphs (nodes,
-        # agents, bound-method event handlers) that dies at the next
-        # run; generational GC re-scans those objects many times before
-        # they become unreachable.  Park the collector for the campaign
-        # and sweep the young generation at run boundaries, where the
-        # previous deployment is garbage, re-enabling with a full
-        # collection on the way out (the batch kernel sweeps on its own).
         with _EXEC_LOCK:
-            paused = total > 1 and gc.isenabled()
-            if paused:
-                gc.disable()
-            try:
-                for task in tasks:
-                    for row in _task_rows(task):
-                        land(*row)
-                        if paused and (done & 3) == 0:
-                            gc.collect(0)
-            finally:
-                if paused:
-                    gc.enable()
-                    gc.collect()
+            for task in tasks:
+                for row in _task_rows(task):
+                    land(*row)
         return slots  # type: ignore[return-value]
 
     pool = shared_pool(workers)

@@ -8,6 +8,8 @@
     net.bootstrap_neighbor_tables()        # or net.install_hello(); sim.run(until=...)
     # install protocol agents, then:
     net.start()
+    # run and measure, then let reference counting free the deployment:
+    net.close()
 
 Neighbor-table bootstrap vs HELLO
 ---------------------------------
@@ -173,6 +175,27 @@ class Network:
         """Start every agent on every node."""
         for node in self.nodes:
             node.start_agents()
+
+    def close(self) -> None:
+        """End the deployment so reference counting can free it.
+
+        A wired deployment is a web of reference cycles: node ↔ network,
+        node ↔ MAC, node ↔ agents, and agents reachable from their own
+        pending events' callbacks.  Closing cancels and drops every pending
+        event and clears each node's back-references (network, MAC, agent
+        list, dispatch tables), so the whole graph dies with the caller's
+        last reference instead of waiting for the cyclic collector.  The
+        trace, channel counters, energy accounts and neighbor tables stay
+        readable; the deployment can no longer run.  Call it after
+        ``sim.run`` has returned.
+        """
+        self.sim._queue.clear()
+        for node in self.nodes:
+            node.network = None
+            node.mac = None
+            node._agents.clear()
+            node._dispatch.clear()
+            node._dispatch_cache.clear()
 
     # ------------------------------------------------------------------ #
     # inspection helpers used by metrics / tests

@@ -228,15 +228,21 @@ class OnDemandMulticastAgent(Agent):
         """
         if group in self._refresh_events:
             return
+        self._refresh_events[group] = self.sim.schedule(
+            interval, self._refresh_tick, group, interval
+        )
 
-        def tick() -> None:
-            if group not in self._refresh_events:
-                return  # stopped
-            if self.node.is_active:
-                self.request_route(group)
-            self._refresh_events[group] = self.sim.schedule(interval, tick)
-
-        self._refresh_events[group] = self.sim.schedule(interval, tick)
+    def _refresh_tick(self, group: int, interval: float) -> None:
+        # a bound method rather than a nested closure: a closure that
+        # reschedules itself references itself through its cell, a cycle
+        # that would outlive the run (likewise _monitor_tick)
+        if group not in self._refresh_events:
+            return  # stopped
+        if self.node.is_active:
+            self.request_route(group)
+        self._refresh_events[group] = self.sim.schedule(
+            interval, self._refresh_tick, group, interval
+        )
 
     def stop_periodic_refresh(self, group: int) -> None:
         """Source: cancel the periodic refresh for ``group``."""
@@ -526,15 +532,19 @@ class OnDemandMulticastAgent(Agent):
         key = (source, group)
         if key in self._monitor_events:
             return
+        self._monitor_events[key] = self.sim.schedule(
+            interval, self._monitor_tick, source, group, interval
+        )
 
-        def tick() -> None:
-            if key not in self._monitor_events:
-                return  # stopped
-            if self.node.is_active:
-                self.check_route_health(source, group)
-            self._monitor_events[key] = self.sim.schedule(interval, tick)
-
-        self._monitor_events[key] = self.sim.schedule(interval, tick)
+    def _monitor_tick(self, source: int, group: int, interval: float) -> None:
+        key = (source, group)
+        if key not in self._monitor_events:
+            return  # stopped
+        if self.node.is_active:
+            self.check_route_health(source, group)
+        self._monitor_events[key] = self.sim.schedule(
+            interval, self._monitor_tick, source, group, interval
+        )
 
     def stop_route_monitor(self, source: int, group: int) -> None:
         """Receiver: cancel the route-health watchdog for ``(source, group)``."""

@@ -287,7 +287,11 @@ def _reconstruct_prefix(cfg, registry, recorder, plan: _HelloPlan, s: int):
 
     prefix = deploy(cfg, recorder, hooks=(_AdoptStreams(registry),))
     agents = prefix.net.install_hello(period=cfg.hello_period)
-    _apply_warmup(cfg, prefix.sim, prefix.net, agents, plan, s)
+    try:
+        _apply_warmup(cfg, prefix.sim, prefix.net, agents, plan, s)
+    except _Inexpressible:
+        prefix.net.close()  # the seed reruns scalar; free this one now
+        raise
     return prefix
 
 
@@ -539,7 +543,7 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
         if store_tx and n_tx:
             fire_sorted = all_fire[order]
             mask_sorted = fired_mask[order]
-            tx_recs = list(map(TraceRecord._make, zip(
+            tx_recs = list(map(tuple.__new__, _repeat(TraceRecord), zip(
                 fire_sorted[mask_sorted].tolist(),
                 _repeat(TraceKind.TX),
                 all_node[order][mask_sorted].tolist(),
@@ -560,7 +564,7 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
             if np.any(tie):
                 raise _Inexpressible("rx-order-tie")
             if rx_lost is None:
-                rx_recs = list(map(TraceRecord._make, zip(
+                rx_recs = list(map(tuple.__new__, _repeat(TraceRecord), zip(
                     rfin.tolist(),
                     _repeat(TraceKind.RX),
                     rrecv.tolist(),
@@ -581,7 +585,7 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
                     elif store_rx:
                         ap(TraceRecord(t, TraceKind.RX, j, "HelloPacket", u))
         if not rx_recs:
-            recorder.records.extend(tx_recs)
+            recorder.extend_indexed(TraceKind.TX, "HelloPacket", tx_recs)
         elif not tx_recs:
             recorder.records.extend(rx_recs)
         else:
@@ -814,11 +818,11 @@ def run_batch(
     session_plan = active_sessions(cfgs[0])
     n_flows = len(session_plan) if session_plan is not None else 1
 
-    # Each seed allocates (and drops) a ~n_nodes-object cyclic deployment
-    # graph; with the collector enabled, generational sweeps over the
-    # growing results/trace heap roughly double the per-seed cost.  Pause
-    # it for the batch and collect explicitly every few seeds to bound
-    # the garbage backlog.
+    # Pause cyclic GC for the batch, as run_single does for one run: each
+    # seed builds a deployment of thousands of containers whose churn
+    # would trigger pointless young-generation scans.  No garbage piles
+    # up meanwhile: _run_suffix closes every seed's deployment, so
+    # reference counting frees it.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
@@ -846,13 +850,7 @@ def run_batch(
             if trace is not None:
                 absorb_trace(trace, recorder)
             results.append(res)
-            if (s & 31) == 31:
-                # young-generation sweep only: frees the dead deployment
-                # graphs without rescanning the accumulated results (also
-                # when the caller has the collector parked)
-                gc.collect(0)
     finally:
         if gc_was_enabled:
             gc.enable()
-            gc.collect()
     return results

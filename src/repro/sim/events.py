@@ -221,6 +221,15 @@ class EventQueue:
         return heap[0][0] if heap else None
 
     def clear(self) -> None:
-        """Drop every pending event."""
+        """Drop every pending event, cancelling the handles callers hold.
+
+        Cancelling releases each event's callback and arguments, so an
+        object holding the handle of its own pending callback (an agent's
+        periodic timer) no longer forms a reference cycle through it, and
+        cancelling a dropped handle later leaves the live count alone.
+        """
+        for entry in self._heap:
+            if entry[4] is None:
+                entry[3].cancel()
         self._heap.clear()
         self._live = 0

@@ -189,8 +189,8 @@ class Simulator:
         # allocates thousands of short-lived acyclic objects (heap entries,
         # trace records, receptions) that refcounting frees on its own,
         # while gen-0 collections triggered by that churn cost ~10% of the
-        # run.  Cyclic garbage (node/agent graphs) is produced per *run*,
-        # not per event, and is collected once GC resumes.
+        # run.  Nothing cyclic is left behind either: the run paths close
+        # their deployment (``Network.close``) once it has been measured.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

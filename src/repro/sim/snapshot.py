@@ -449,14 +449,12 @@ class WarmSnapshot:
         try:
             buf = io.BytesIO()
             _PrefixPickler(buf, shared_ids).dump(tuple(prefix))
-            blob = buf.getvalue()
-            live = None
         except Exception:
-            blob = None
-            live = prefix  # never run further; deepcopied per fork
-        finally:
+            # never run further; deepcopied per fork, so it stays open
             recorder.records = list(prefix_records)
-        return cls(key, uid_base, uid_end, blob, live, shared, prefix_records)
+            return cls(key, uid_base, uid_end, None, prefix, shared, prefix_records)
+        prefix.net.close()
+        return cls(key, uid_base, uid_end, buf.getvalue(), None, shared, prefix_records)
 
     @property
     def size_bytes(self) -> int:

@@ -12,7 +12,10 @@ per-``(kind, packet_type)`` record-position lists and node-set caches —
 built the first time a query runs and extended in place as new records
 arrive.  ``emit`` (the hot path: one call per radio event) stays a plain
 counter bump + list append; ``count``/``nodes_with``/``filter`` no longer
-scan the full record list on every call.
+scan the full record list on every call.  A writer appending a block of
+one ``(kind, packet_type)`` — the batch kernel's warmup HELLO
+transmissions, ~9,000 per seed — hands it to ``extend_indexed``, which
+extends the indexes once per block instead of once per record.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from enum import Enum
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 __all__ = ["TraceKind", "TraceRecord", "TraceRecorder", "trace_digest"]
@@ -192,6 +196,38 @@ class TraceRecorder:
                     lst.append(pos)
                     ix_nodes[key].add(rec.node)
         self._ix_upto = len(records)
+
+    def extend_indexed(
+        self, kind: TraceKind, packet_type: Optional[str], records: List[TraceRecord]
+    ) -> None:
+        """Append ``records``, all of ``(kind, packet_type)``, indexed in one step.
+
+        The bulk form of appending and then querying: the block's
+        positions and node set extend that key's index and the kind-wide
+        one at once, instead of record by record in :meth:`_reindex`.
+        Like ``records.extend`` it stores what it is given and leaves the
+        counters to the caller.
+        """
+        if not records:
+            return
+        self._reindex()  # positions must stay in record order
+        start = len(self.records)
+        self.records.extend(records)
+        positions = range(start, len(self.records))
+        nodes = set(map(itemgetter(2), records))
+        if packet_type is None:
+            keys = ((kind, None),)
+        else:
+            keys = ((kind, packet_type), (kind, None))
+        for key in keys:
+            lst = self._ix.get(key)
+            if lst is None:
+                self._ix[key] = list(positions)
+                self._ix_nodes[key] = set(nodes)
+            else:
+                lst.extend(positions)
+                self._ix_nodes[key].update(nodes)
+        self._ix_upto = len(self.records)
 
     def _require_records(self, query: str) -> None:
         if self.counters_only:

@@ -76,3 +76,33 @@ def test_parallel_warm_campaign_matches_serial(tmp_path):
     before = parallel.read_text()
     run_campaign(cfgs, parallel, workers=2, warm=True)
     assert parallel.read_text() == before
+
+
+def test_resume_reruns_records_from_another_cache_version(tmp_path):
+    """A checkpoint written under other run semantics is not reused: its
+    records are skipped on load and re-run on resume."""
+    from repro.experiments.runner import CACHE_VERSION
+
+    path = tmp_path / "c.jsonl"
+    run_campaign(_configs(3), path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert all(rec["_version"] == CACHE_VERSION for rec in lines)
+    lines[0]["_version"] = CACHE_VERSION - 1  # computed under older semantics
+    del lines[1]["_version"]  # written before records carried a version
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+
+    index, records = load_campaign(path)
+    assert list(index) == [config_key(_configs(3)[2])]
+    assert records == [lines[2]]
+
+    calls = []
+    records = run_campaign(_configs(3), path, progress=lambda i, n: calls.append((i, n)))
+    assert calls == [(1, 2), (2, 2)]  # the two stale records re-ran
+    assert len(records) == 3
+    assert {config_key(SimulationConfig(**r["_config"])) for r in records} == {
+        config_key(c) for c in _configs(3)
+    }
+    # the re-run reproduces the stale rows' metrics under the current version
+    rerun = {r["seed"]: r for r in records}
+    for stale in lines[:2]:
+        assert rerun[stale["seed"]]["data_transmissions"] == stale["data_transmissions"]

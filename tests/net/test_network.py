@@ -68,3 +68,24 @@ def test_positions_of():
     got = net.positions_of([0, 5])
     assert got.shape == (2, 2)
     assert tuple(got[0]) == net.node(0).position
+
+
+def test_close_cancels_pending_events_and_cuts_back_references():
+    from repro.net.flooding import FloodingAgent
+
+    sim, net = make()
+    net.install(lambda node: FloodingAgent())
+    held = sim.schedule(1.0, lambda: None)
+    sim.schedule_fire(2.0, lambda: None)
+    net.node(3).energy.charge_tx(0.5)
+    net.close()
+    assert sim.pending == 0
+    assert not held.active and held.fn is None
+    sim.cancel(held)  # a handle from before the close stays harmless
+    assert sim.pending == 0
+    for node in net.nodes:
+        assert node.network is None and node.mac is None
+        assert node.agents_of(FloodingAgent) == []
+    # what a run measured stays readable
+    assert net.energy_summary()["tx_joules"] == 0.5
+    assert net.channel.frames_sent == 0

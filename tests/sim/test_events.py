@@ -86,11 +86,16 @@ def test_nan_time_rejected():
 
 def test_clear():
     q = EventQueue()
-    for i in range(5):
-        q.push(float(i), lambda: None)
+    held = [q.push(float(i), lambda: None) for i in range(5)]
+    q.push_fire(6.0, lambda: None)
     q.clear()
     assert len(q) == 0
     assert q.peek_time() is None
+    # dropped handles are cancelled: their callbacks are released, and
+    # cancelling one later must not skew the live count
+    assert not any(ev.active or ev.fn for ev in held)
+    q.cancel(held[0])
+    assert len(q) == 0
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=200))

@@ -104,3 +104,48 @@ def test_nodes_with_returns_a_copy():
     s = t.nodes_with(TraceKind.TX, "Data")
     s.clear()  # metrics code mutates these sets freely
     assert t.nodes_with(TraceKind.TX, "Data") == {1}
+
+
+def test_indexed_block_answers_like_reindexed_records():
+    """Records appended by ``extend_indexed`` answer every query exactly as
+    the same records folded in one by one by ``_reindex`` do — including
+    when the block lands between half-indexed emits."""
+    from repro.sim.trace import TraceRecord
+
+    def block(t0, nodes):
+        return [
+            TraceRecord(t0 + 0.1 * k, TraceKind.TX, n, "HelloPacket", 100 + k)
+            for k, n in enumerate(nodes)
+        ]
+
+    first = block(0.0, [3, 1, 3, 7])
+    second = block(5.0, [2, 7])
+    blocked, reindexed = TraceRecorder(), TraceRecorder()
+    for t in (blocked, reindexed):
+        t.emit(0.0, TraceKind.TX, 9, "JoinQuery", 1)
+        t.emit(0.0, TraceKind.MARK, 4, None, "note")
+    assert blocked.nodes_with(TraceKind.TX) == {9}  # index built up to here
+    blocked.emit(0.5, TraceKind.TX, 5, "HelloPacket", 2)  # not yet indexed
+    blocked.extend_indexed(TraceKind.TX, "HelloPacket", first)
+    blocked.emit(1.0, TraceKind.RX, 6, "HelloPacket", 3)
+    blocked.extend_indexed(TraceKind.TX, "HelloPacket", second)
+    blocked.extend_indexed(TraceKind.TX, "HelloPacket", [])
+    reindexed.emit(0.5, TraceKind.TX, 5, "HelloPacket", 2)
+    reindexed.records.extend(first)
+    reindexed.emit(1.0, TraceKind.RX, 6, "HelloPacket", 3)
+    reindexed.records.extend(second)
+    for t in (blocked, reindexed):
+        t.counts[(TraceKind.TX, "HelloPacket")] += len(first) + len(second)
+    assert blocked.records == reindexed.records
+
+    keys = {(r.kind, r.packet_type) for r in reindexed.records}
+    keys |= {(kind, None) for kind, _pt in keys}
+    for kind, pt in sorted(keys, key=repr):
+        assert blocked.count(kind, pt) == reindexed.count(kind, pt)
+        assert list(blocked.filter(kind, pt)) == list(reindexed.filter(kind, pt))
+        assert blocked.nodes_with(kind, pt) == reindexed.nodes_with(kind, pt)
+        for node in (1, 3, 7, 9):
+            assert list(blocked.filter(kind, pt, node)) == list(
+                reindexed.filter(kind, pt, node)
+            )
+    assert blocked.nodes_with(TraceKind.TX, "HelloPacket") == {1, 2, 3, 5, 7}
