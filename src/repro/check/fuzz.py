@@ -2,11 +2,14 @@
 
 A :class:`Scenario` is a fully serialisable description of one short
 checked run: a :class:`~repro.experiments.config.SimulationConfig` plus
-the stressors the plain runner doesn't exercise — a fault schedule,
+the stressors the paper's round doesn't exercise — a fault schedule,
 random-waypoint mobility, an energy budget, CBR data and periodic route
-refresh.  :func:`run_scenario` executes it under a
-:class:`~repro.check.CheckHarness` (checkpoints after route discovery, at
-end of run, and on every RouteError) and reports violations.
+refresh.  :meth:`Scenario.run_config` folds them into the config's
+:class:`~repro.experiments.config.Schedule`, and :func:`run_scenario`
+runs it under a :class:`~repro.check.CheckHarness` (checkpoints after
+route discovery, at end of run, and on every RouteError) and reports
+violations (:class:`ScenarioMeter`); the ``check`` CLI runs whole
+campaigns of them on :func:`~repro.experiments.runner.run_many`.
 
 Scenarios come from two generators sharing one parameter space
 (:data:`BOUNDS`):
@@ -26,24 +29,25 @@ the fuzzer's long-term memory.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.check.harness import CheckHarness
-from repro.experiments.config import SimulationConfig
+from repro.experiments.config import Schedule, SimulationConfig
 from repro.faults.plan import FaultPlan
 from repro.protocols.repair import RepairPolicy
-from repro.sim.hooks import RunHook, phase
-from repro.sim.trace import TraceKind, TraceRecorder, trace_digest
-from repro.traffic.engine import schedule_sessions
+from repro.sim.hooks import Meter
+from repro.sim.trace import TraceKind, trace_digest
 from repro.traffic.metrics import session_deliveries
 
 __all__ = [
     "Scenario",
     "ScenarioReport",
+    "ScenarioMeter",
+    "scenario_hooks",
     "run_scenario",
     "random_scenario",
     "scenario_strategy",
@@ -124,6 +128,11 @@ class Scenario:
             d["mobility"] = {k: float(v) for k, v in d["mobility"].items()}
         return cls(**d)
 
+    def run_config(self) -> SimulationConfig:
+        """The scenario as one config: its stressors become the schedule."""
+        stressors = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "config"}
+        return self.config.with_(schedule=Schedule(**stressors))
+
     def describe(self) -> str:
         cfg = self.config
         bits = [
@@ -151,7 +160,8 @@ class Scenario:
 class ScenarioReport:
     """Outcome of one checked scenario run."""
 
-    scenario: Scenario
+    #: the scenario run (None on a :class:`ScenarioMeter`'s own report)
+    scenario: Optional[Scenario] = None
     violations: Tuple = ()
     checkpoints: Tuple[str, ...] = ()
     delivered_receivers: int = 0
@@ -164,37 +174,46 @@ class ScenarioReport:
         return not self.violations
 
 
-class _Stressors(RunHook):
-    """Arms a scenario's mobility and faults before simulated time passes.
+class ScenarioMeter(Meter):
+    """Measures a finished checked scenario as a :class:`ScenarioReport`."""
 
-    Fault times are absolute, and a HELLO warmup advances the clock past
-    early faults, so arming happens as the warmup begins — or, on a
-    static bootstrap, once the agents are bound.
+    def __init__(self, harness: CheckHarness) -> None:
+        self.harness = harness
+
+    def measure(self) -> ScenarioReport:
+        cfg, receivers = self.cfg, self.receivers
+        trace = self.net.sim.trace
+        if self.members is None:
+            flows = {(cfg.source, cfg.group): receivers}
+            delivered = len(trace.nodes_with(TraceKind.DELIVER) & set(receivers))
+        else:
+            flows = self.members
+            delivered = sum(
+                len(session_deliveries(trace, flow)[0] & set(recv))
+                for flow, recv in flows.items()
+            )
+        report = self.harness.report
+        return ScenarioReport(
+            violations=tuple(report.violations),
+            checkpoints=tuple(report.checkpoints),
+            delivered_receivers=delivered,
+            n_receivers=sum(len(set(recv)) for recv in flows.values()),
+            data_transmissions=trace.count(TraceKind.TX, "DataPacket"),
+            trace_sha256=trace_digest(trace),
+        )
+
+
+def scenario_hooks(
+    cfg: SimulationConfig, mode: str = "collect", invariants=None, context: Any = None
+) -> list:
+    """``run_many`` hook factory: a harness, then a :class:`ScenarioMeter`.
+
+    ``context`` is the repro description embedded in violations (default:
+    the run's config, which carries the whole scenario as its schedule).
     """
-
-    def __init__(self, scenario: Scenario) -> None:
-        self.scenario = scenario
-        self._armed = False
-
-    def on_phase_begin(self, name: str, sim, net, **meta) -> None:
-        if name == "hello-warmup":
-            self._arm(net)
-
-    def on_bind(self, net, agents, cfg, receivers, members) -> None:
-        if not self._armed:
-            self._arm(net)
-
-    def _arm(self, net) -> None:
-        from repro.faults import FaultInjector
-
-        self._armed = True
-        sc = self.scenario
-        if sc.mobility is not None:
-            from repro.net.mobility import RandomWaypointMobility
-
-            RandomWaypointMobility(net, **sc.mobility).start()
-        plan = FaultPlan.from_dicts(sc.faults) if sc.faults else None
-        FaultInjector(net, plan=plan, energy_budget=sc.energy_budget).arm()
+    harness = CheckHarness(mode=mode, invariants=invariants)
+    harness.context = context
+    return [harness, ScenarioMeter(harness)]
 
 
 def run_scenario(
@@ -208,91 +227,16 @@ def run_scenario(
     With ``mode="raise"`` the first violation propagates (tests); with
     ``mode="collect"`` all violations land on the report (campaigns).
     ``context`` overrides the repro description embedded in violations
-    (e.g. a corpus file path).  The deployment comes from
-    :func:`~repro.sim.snapshot.build_prefix`, with the harness and the
-    stressors in its hook list.
+    (e.g. a corpus file path).  The run is
+    :func:`~repro.experiments.runner.run_single` on
+    :meth:`Scenario.run_config`.
     """
-    from repro.experiments.runner import install_agents
-    from repro.net.packet import reset_uids
-    from repro.sim.snapshot import build_prefix
+    from repro.experiments.runner import run_single
 
-    cfg = scenario.config
-    reset_uids()
-    harness = CheckHarness(mode=mode, invariants=invariants)
-    harness.context = context if context is not None else scenario
-    hooks = (harness, _Stressors(scenario))
-    trace = TraceRecorder(
-        enabled_kinds={TraceKind.TX, TraceKind.DELIVER, TraceKind.MARK, TraceKind.NOTE}
-    )
-    sim, net, receivers, _positions, members = build_prefix(cfg, trace=trace, hooks=hooks)
-    agents, sess_plan, _ = install_agents(cfg, net, receivers, hooks)
-    refresh = scenario.refresh_interval
-    if refresh is not None:
-        for a in agents:
-            a.fg_timeout = 2.5 * refresh
-    if scenario.repair is not None:
-        policy = RepairPolicy.from_dict(scenario.repair)
-        for a in agents:
-            if getattr(a, "supports_repair", False):
-                a.repair_policy = policy
-
-    settle = cfg.effective_construction_time
-    if sess_plan is None:
-        flows = {(cfg.source, cfg.group): receivers}
-        src = agents[cfg.source]
-        with phase(hooks, "route-discovery", sim, net):
-            src.request_route(cfg.group)
-            sim.run(until=sim.now + settle)
-    else:
-        # multi-session traffic: the generic engine drives every flow's
-        # discovery + CBR schedule; refresh/monitor stressors apply per
-        # session, in receiver-draw order
-        flows = members
-        t0 = sim.now
-        horizon = schedule_sessions(cfg, sim, net, agents, sess_plan, flows, t0=t0)
-        with phase(hooks, "route-discovery", sim, net):
-            sim.run(until=t0 + min(s.start for s in sess_plan) + settle)
-    if refresh is not None:
-        for (source, group), recv in flows.items():
-            agents[source].start_periodic_refresh(group, refresh)
-            if cfg.hello_phase:
-                # with live HELLO maintenance the receivers can watchdog
-                # their serving forwarder — a crash then produces a
-                # RouteError flood, the harness's third checkpoint
-                for r in recv:
-                    agents[r].start_route_monitor(source, group, interval=1.0)
-    if sess_plan is None:
-        t0 = sim.now
-        interval = 1.0 / scenario.rate_pps
-        for k in range(scenario.n_packets):
-            sim.schedule_at(t0 + k * interval, src.send_data, cfg.group, k)
-        horizon = t0 + scenario.n_packets * interval
-    drain = (refresh or 0.0) + 1.0
-    with phase(hooks, "data-delivery", sim, net):
-        sim.run(until=horizon + drain)
-    if refresh is not None:
-        for source, group in flows:
-            agents[source].stop_periodic_refresh(group)
-    for h in hooks:
-        h.on_finish()
-
-    net.close()
-    if sess_plan is None:
-        delivered = len(trace.nodes_with(TraceKind.DELIVER) & set(receivers))
-    else:
-        delivered = sum(
-            len(session_deliveries(trace, flow)[0] & set(recv))
-            for flow, recv in flows.items()
-        )
-    return ScenarioReport(
-        scenario=scenario,
-        violations=tuple(harness.report.violations),
-        checkpoints=tuple(harness.report.checkpoints),
-        delivered_receivers=delivered,
-        n_receivers=sum(len(set(recv)) for recv in flows.values()),
-        data_transmissions=trace.count(TraceKind.TX, "DataPacket"),
-        trace_sha256=trace_digest(trace),
-    )
+    cfg = scenario.run_config()
+    hooks = scenario_hooks(cfg, mode, invariants, scenario if context is None else context)
+    run_single(cfg, hooks=hooks)
+    return replace(hooks[-1].result, scenario=scenario)
 
 
 # --------------------------------------------------------------------- #

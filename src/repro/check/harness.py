@@ -6,9 +6,10 @@ Wiring order matters: :meth:`CheckHarness.attach` must run *before* the
 shadows it), and :meth:`CheckHarness.bind_network` after agents are
 installed.  As a run hook (:mod:`repro.sim.hooks`) the harness does both
 itself, checkpoints when route discovery ends and at the end of the run,
-then detaches: :func:`repro.experiments.runner.run_single` passes
-``check=`` in its hook list, and :func:`repro.check.fuzz.run_scenario`
-and the chaos campaign pass it to ``build_prefix`` beside their stressors.
+then detaches: pass it in ``run_single(cfg, hooks=[harness])``, or build
+one per run with ``run_many(cfgs, hooks=factory)``, which returns each
+run's :class:`CheckReport` on ``RunResult.reports``.  The fuzzer and the
+chaos campaign ride it that way beside their meters.
 
 The harness only ever *reads* simulator state: it emits no trace records,
 draws from no rng stream, and schedules no events, so an attached harness
@@ -230,6 +231,9 @@ class CheckHarness(RunHook):
     def on_finish(self) -> None:
         self.checkpoint("end-of-run")
         self.detach()
+
+    def run_report(self) -> CheckReport:
+        return self.report
 
     # ------------------------------------------------------------------ #
     # checkpoints

@@ -9,6 +9,7 @@ reproduce the failing run from the command line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Optional
 
 __all__ = ["Finding", "InvariantViolation"]
@@ -46,6 +47,7 @@ class InvariantViolation(AssertionError):
         checkpoint: Optional[str] = None,
         context: Any = None,
     ) -> None:
+        self.finding = finding
         self.invariant = finding.invariant
         self.time = finding.time
         self.node = finding.node
@@ -67,3 +69,11 @@ class InvariantViolation(AssertionError):
         if context is not None:
             parts.append(f"run context: {context!r}")
         super().__init__("\n".join(parts))
+
+    def __reduce__(self):
+        # rebuild from the Finding: the default exception pickling would
+        # call InvariantViolation(message), which this constructor rejects
+        rebuild = partial(
+            InvariantViolation, seed=self.seed, checkpoint=self.checkpoint, context=self.context
+        )
+        return rebuild, (self.finding,)

@@ -135,7 +135,7 @@ def _run_load(args) -> None:
     from repro.experiments.load import load_sweep
 
     rates = (1.0, 5.0, 10.0, 25.0, 50.0, 100.0)
-    out = load_sweep(rates_pps=rates, runs=max(args.runs // 5, 3))
+    out = load_sweep(rates_pps=rates, runs=max(args.runs // 5, 3), workers=args.workers)
     print("\n== CBR load sweep (MTMRP tree, grid, 20 receivers) ==")
     print(f"{'rate':>8} {'delivery':>9} {'goodput':>9} {'tx/pkt':>7} {'collisions':>11}")
     for rate in rates:
@@ -156,6 +156,7 @@ def _run_faults(args) -> None:
             runs=runs,
             loss_model="iid" if loss > 0 else "none",
             loss_rate=loss,
+            workers=args.workers,
         )
         print(f"\n-- {label} --")
         print(header)
@@ -227,8 +228,9 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=30, help="Monte-Carlo rounds per point (paper: 100)")
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes; fig5-fig8 default to every usable CPU (one "
-             "campaign per sweep), 1 keeps a sweep serial in this process; "
+        help="worker processes; fig5-fig8, load, faults, chaos, check (its "
+             "fuzz campaign) and traffic --traffic-campaign default to every "
+             "usable CPU, 1 keeps a campaign serial in this process; "
              "ablations and serve default to 1",
     )
     parser.add_argument(

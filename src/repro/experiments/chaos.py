@@ -21,25 +21,33 @@ identical fault schedules**.  Two disciplines make that comparison honest:
 Every run is a pure function of its config: ``trace_sha256`` makes the
 bit-reproducibility claim checkable, and the optional
 :class:`~repro.check.CheckHarness` attaches in ``collect`` mode so the
-three repair invariants are enforced over every soak.
+three repair invariants are enforced over every soak.  The soak itself
+is the config's :class:`~repro.experiments.config.Schedule` (``churn``
+draws the plan at the start of the stream); this module keeps only what
+it measures (:class:`ChaosMeter`), and every campaign runs on
+:func:`~repro.experiments.runner.run_many`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.config import SimulationConfig
+from repro.experiments.config import Schedule, SimulationConfig
 from repro.faults.plan import FaultPlan
 from repro.protocols.repair import RepairPolicy
-from repro.sim.hooks import phase
-from repro.sim.trace import TraceKind, TraceRecorder, trace_digest
+from repro.sim.hooks import Meter
+from repro.sim.trace import TraceKind, trace_digest
 
 __all__ = [
     "ChaosRunResult",
+    "ChaosMeter",
     "build_churn_plan",
+    "chaos_config",
+    "chaos_hooks",
     "run_chaos_single",
     "chaos_sweep",
     "run_chaos",
@@ -146,7 +154,82 @@ def build_churn_plan(
     return plan
 
 
-def run_chaos_single(
+class ChaosMeter(Meter):
+    """Measures a finished churn soak; a checked run's ``harness`` supplies
+    the violations."""
+
+    def __init__(self, window: float = 2.5, harness=None) -> None:
+        self.window = window
+        self.harness = harness
+
+    def measure(self) -> ChaosRunResult:
+        from repro.metrics.faults import (
+            delivery_ratio,
+            fault_log,
+            mean_time_to_recovery,
+            time_in_state,
+            windowed_delivery,
+        )
+
+        cfg, receivers = self.cfg, self.receivers
+        trace = self.net.sim.trace
+        counts = trace.counts
+        send_times = self.send_times()
+        rebuilds = sum(
+            1
+            for rec in trace.filter(kind=TraceKind.TX, packet_type="JoinQuery")
+            if rec.node == cfg.source
+        )
+        windows = windowed_delivery(
+            trace, receivers, send_times, self.window, source=cfg.source, group=cfg.group
+        )
+        mttr, recovered, _n_crash = mean_time_to_recovery(
+            trace, receivers, send_times, source=cfg.source, group=cfg.group
+        )
+        states = time_in_state(trace, float(self.net.sim.now))
+        log = tuple(fault_log(trace))
+        violations = self.harness.report.violations if self.harness is not None else ()
+        return ChaosRunResult(
+            protocol=cfg.protocol,
+            seed=cfg.seed,
+            repair=cfg.schedule.repair is not None,
+            packets_sent=cfg.schedule.n_packets,
+            crashes=len([1 for _t, _n, k, _c in log if k == "crash"]),
+            recovers=len([1 for _t, _n, k, _c in log if k == "recover"]),
+            delivery_ratio=delivery_ratio(
+                trace, receivers, sorted(send_times), source=cfg.source, group=cfg.group
+            ),
+            windowed=tuple(windows),
+            min_window=min((r for _t, r in windows), default=1.0),
+            mttr=mttr,
+            recovered_crashes=recovered,
+            rebuild_rounds=rebuilds,
+            grafts_ok=counts[(TraceKind.NOTE, "GraftOk")],
+            grafts_failed=counts[(TraceKind.NOTE, "GraftFail")],
+            repair_query_tx=counts[(TraceKind.TX, "RepairQuery")],
+            route_error_tx=counts[(TraceKind.TX, "RouteError")],
+            degraded_data_tx=counts[(TraceKind.TX, "ScopedFloodData")],
+            time_repairing=states.get("repairing", 0.0),
+            time_degraded=states.get("degraded", 0.0),
+            violations=tuple(str(v).splitlines()[0] for v in violations),
+            trace_sha256=trace_digest(trace),
+            fault_log=log,
+        )
+
+
+def chaos_hooks(cfg: SimulationConfig, window: float = 2.5, check: bool = False) -> list:
+    """``run_many`` hook factory: a :class:`ChaosMeter`, after a harness
+    when ``check`` (GMR keeps no sessions to check)."""
+    from repro.check.harness import CheckHarness
+
+    harness = None
+    if check and cfg.protocol != "gmr":
+        harness = CheckHarness(mode="collect")
+        harness.context = f"chaos seed={cfg.seed} repair={cfg.schedule.repair is not None}"
+    return [h for h in (harness, ChaosMeter(window, harness)) if h is not None]
+
+
+def chaos_config(
     cfg: SimulationConfig,
     policy: Optional[RepairPolicy] = None,
     n_packets: int = 80,
@@ -154,18 +237,39 @@ def run_chaos_single(
     refresh_interval: float = 8.0,
     n_cycles: int = 3,
     down_time: float = 5.0,
+) -> SimulationConfig:
+    """``cfg`` under the churn soak's :class:`Schedule` (one arm); raises
+    :class:`ValueError` without ``cfg.hello_phase``."""
+    if not cfg.hello_phase:
+        raise ValueError(
+            "a chaos run needs cfg.hello_phase=True: its route watchdog "
+            "detects dead forwarders through HELLO neighbor expiry"
+        )
+    return cfg.with_(
+        schedule=Schedule(
+            n_packets=n_packets,
+            rate_pps=rate_pps,
+            refresh_interval=refresh_interval,
+            repair=policy,
+            churn=(n_cycles, down_time),
+        )
+    )
+
+
+def run_chaos_single(
+    cfg: SimulationConfig,
+    policy: Optional[RepairPolicy] = None,
     window: float = 2.5,
-    monitor_interval: float = 1.0,
     check: bool = False,
+    **schedule_kwargs,
 ) -> ChaosRunResult:
     """Soak ``cfg``'s deployment in churn; one arm of the on/off comparison.
 
-    Runs the full HELLO phase (the watchdog that detects dead forwarders
-    needs live neighbor expiry, so ``cfg.hello_phase`` must be set; a
-    config without it raises :class:`ValueError`), establishes the tree,
-    then streams
+    Runs the full HELLO phase, establishes the tree, then streams
     ``n_packets`` CBR packets at ``rate_pps`` while
-    :func:`build_churn_plan`'s schedule crashes and recovers tree nodes.
+    :func:`build_churn_plan`'s schedule crashes and recovers tree nodes
+    (``schedule_kwargs`` go to :func:`chaos_config`).  ``window`` is the
+    availability window of the windowed delivery ratio.
     ``policy=None`` is the rebuild-only baseline arm — behaviour is then
     byte-identical to the pre-repair protocol stack.
 
@@ -173,129 +277,17 @@ def run_chaos_single(
     in ``collect`` mode (checkpoints after discovery and at end of run),
     so every soak doubles as an invariant-checking campaign.
 
-    GMR is driven through its geographic API (one stateless ``multicast``
+    GMR runs through its geographic API (one stateless ``multicast``
     per packet, position-sharing HELLOs, no refresh/monitor/harness): it
     keeps no sessions to repair, so both arms measure the same per-packet
     greedy forwarding — the campaign's churn-oblivious baseline.
     """
-    from repro.check.harness import CheckHarness
-    from repro.experiments.runner import install_agents
-    from repro.faults import FaultInjector
-    from repro.metrics.faults import (
-        delivery_ratio,
-        mean_time_to_recovery,
-        time_in_state,
-        windowed_delivery,
-    )
-    from repro.net.packet import reset_uids
-    from repro.sim.snapshot import build_prefix
+    from repro.experiments.runner import run_single
 
-    if not cfg.hello_phase:
-        raise ValueError(
-            "run_chaos_single needs cfg.hello_phase=True: its route watchdog "
-            "detects dead forwarders through HELLO neighbor expiry"
-        )
-    reset_uids()
-    geo = cfg.protocol == "gmr"
-    harness = CheckHarness(mode="collect") if check and not geo else None
-    hooks = [] if harness is None else [harness]
-    if harness is not None:
-        harness.context = f"chaos seed={cfg.seed} repair={policy is not None}"
-    sim, net, receivers, positions, _members = build_prefix(
-        cfg,
-        trace=TraceRecorder(
-            enabled_kinds={TraceKind.TX, TraceKind.DELIVER, TraceKind.MARK, TraceKind.NOTE}
-        ),
-        hooks=hooks,
-    )
-    agents, _plan, _members = install_agents(cfg, net, receivers, hooks)
-    src = agents[cfg.source]
-    if not geo:
-        for a in agents:
-            a.fg_timeout = 2.5 * refresh_interval
-            if policy is not None and getattr(a, "supports_repair", False):
-                a.repair_policy = policy
-        with phase(hooks, "route-discovery", sim, net, protocol=cfg.protocol):
-            src.request_route(cfg.group)
-            sim.run(until=sim.now + cfg.effective_construction_time)
-        src.start_periodic_refresh(cfg.group, refresh_interval)
-        for r in receivers:
-            agents[r].start_route_monitor(cfg.source, cfg.group, interval=monitor_interval)
-
-    t0 = sim.now
-    interval = 1.0 / rate_pps
-    data_end = t0 + n_packets * interval
-    # churn fires strictly inside the data phase so every crash competes
-    # with live traffic; the margin keeps the tail packets measurable
-    plan = build_churn_plan(
-        cfg, positions, receivers,
-        window=(t0 + 2 * interval, data_end - down_time),
-        n_cycles=n_cycles, down_time=down_time,
-    )
-    injector = FaultInjector(net, plan=plan).arm()
-
-    send_times: Dict[int, float] = {}
-    if geo:
-        dests = {r: net.node(r).position for r in receivers}
-        for k in range(n_packets):
-            t = t0 + k * interval
-            send_times[k] = t
-            sim.schedule_at(t, src.multicast, cfg.group, dests, k)
-    else:
-        for k in range(n_packets):
-            t = t0 + k * interval
-            send_times[k] = t
-            sim.schedule_at(t, src.send_data, cfg.group, k)
-    with phase(hooks, "data-delivery", sim, net, protocol=cfg.protocol):
-        sim.run(until=data_end + refresh_interval + 1.0)
-    if not geo:
-        src.stop_periodic_refresh(cfg.group)
-    for h in hooks:
-        h.on_finish()
-
-    trace = sim.trace
-    counts = trace.counts
-    rebuilds = sum(
-        1
-        for rec in trace.filter(kind=TraceKind.TX, packet_type="JoinQuery")
-        if rec.node == cfg.source
-    )
-    windows = windowed_delivery(
-        trace, receivers, send_times, window, source=cfg.source, group=cfg.group
-    )
-    mttr, recovered, _n_crash = mean_time_to_recovery(
-        trace, receivers, send_times, source=cfg.source, group=cfg.group
-    )
-    states = time_in_state(trace, float(sim.now))
-    net.close()
-    return ChaosRunResult(
-        protocol=cfg.protocol,
-        seed=cfg.seed,
-        repair=policy is not None,
-        packets_sent=n_packets,
-        crashes=len([1 for _t, _n, k, _c in injector.log if k == "crash"]),
-        recovers=len([1 for _t, _n, k, _c in injector.log if k == "recover"]),
-        delivery_ratio=delivery_ratio(
-            trace, receivers, sorted(send_times), source=cfg.source, group=cfg.group
-        ),
-        windowed=tuple(windows),
-        min_window=min((r for _t, r in windows), default=1.0),
-        mttr=mttr,
-        recovered_crashes=recovered,
-        rebuild_rounds=rebuilds,
-        grafts_ok=counts[(TraceKind.NOTE, "GraftOk")],
-        grafts_failed=counts[(TraceKind.NOTE, "GraftFail")],
-        repair_query_tx=counts[(TraceKind.TX, "RepairQuery")],
-        route_error_tx=counts[(TraceKind.TX, "RouteError")],
-        degraded_data_tx=counts[(TraceKind.TX, "ScopedFloodData")],
-        time_repairing=states.get("repairing", 0.0),
-        time_degraded=states.get("degraded", 0.0),
-        violations=tuple(
-            str(v).splitlines()[0] for v in (harness.report.violations if harness else ())
-        ),
-        trace_sha256=trace_digest(trace),
-        fault_log=tuple(injector.log),
-    )
+    run_cfg = chaos_config(cfg, policy, **schedule_kwargs)
+    hooks = chaos_hooks(run_cfg, window, check)
+    run_single(run_cfg, hooks=hooks)
+    return hooks[-1].result
 
 
 def chaos_sweep(
@@ -304,7 +296,9 @@ def chaos_sweep(
     batch_seed: int = 90210,
     policy: Optional[RepairPolicy] = None,
     check: bool = False,
-    **run_kwargs,
+    window: float = 2.5,
+    workers: Optional[int] = None,
+    **schedule_kwargs,
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Repair-on vs repair-off under identical churn, per protocol.
 
@@ -313,38 +307,39 @@ def chaos_sweep(
     and once without — and aggregates both arms.  Because the churn plan
     is a pure function of the config, each pair sees an identical fault
     schedule; protocols without session state (GMR) keep a flag-off
-    repair arm, which the ``repair_effective`` flag records.
+    repair arm, which the ``repair_effective`` flag records.  Every run
+    goes through one :func:`~repro.experiments.runner.run_many` campaign
+    (``workers`` as there); ``schedule_kwargs`` go to :func:`chaos_config`.
 
     Returns ``{protocol: {"off": {...}, "on": {...}}}`` summaries.
     """
+    from repro.experiments.runner import field_means, run_many
+
     pol = policy if policy is not None else DEFAULT_POLICY
+    cfgs = [
+        chaos_config(_soak_config(proto, batch_seed + k), arm, **schedule_kwargs)
+        for proto in protocols
+        for k in range(runs)
+        for arm in (None, pol)
+    ]
+    hooks = partial(chaos_hooks, window=window, check=check)
+    runs_done = iter(run_many(cfgs, workers=workers, hooks=hooks))
     out: Dict[str, Dict[str, Dict[str, float]]] = {}
     for proto in protocols:
         arms: Dict[str, List[ChaosRunResult]] = {"off": [], "on": []}
-        for k in range(runs):
-            cfg = SimulationConfig(
-                protocol=proto,
-                topology="grid",
-                grid_nx=5, grid_ny=5, side=120.0,
-                group_size=6,
-                mac="ideal",
-                hello_phase=True,
-                seed=batch_seed + k,
-            )
-            arms["off"].append(run_chaos_single(cfg, policy=None, check=check, **run_kwargs))
-            arms["on"].append(run_chaos_single(cfg, policy=pol, check=check, **run_kwargs))
+        for _k in range(runs):
+            arms["off"].append(next(runs_done).reports[-1])
+            arms["on"].append(next(runs_done).reports[-1])
         out[proto] = {}
         for arm, results in arms.items():
             mttrs = [r.mttr for r in results if r.mttr is not None]
             out[proto][arm] = {
-                "delivery_ratio": float(np.mean([r.delivery_ratio for r in results])),
-                "min_window": float(np.mean([r.min_window for r in results])),
+                **field_means(results, "delivery_ratio", "min_window"),
                 "mttr": float(np.mean(mttrs)) if mttrs else float("nan"),
-                "rebuild_rounds": float(np.mean([r.rebuild_rounds for r in results])),
-                "grafts_ok": float(np.mean([r.grafts_ok for r in results])),
-                "grafts_failed": float(np.mean([r.grafts_failed for r in results])),
-                "route_error_tx": float(np.mean([r.route_error_tx for r in results])),
-                "time_degraded": float(np.mean([r.time_degraded for r in results])),
+                **field_means(
+                    results, "rebuild_rounds", "grafts_ok", "grafts_failed",
+                    "route_error_tx", "time_degraded",
+                ),
                 "violations": float(sum(len(r.violations) for r in results)),
                 # GMR has no per-session state to repair; its "on" arm is
                 # the layer declining to engage, which this flag records
@@ -354,6 +349,14 @@ def chaos_sweep(
                 ) if arm == "on" else 0.0,
             }
     return out
+
+
+def _soak_config(protocol: str, seed: int) -> SimulationConfig:
+    """The campaign's deployment: a 5x5 HELLO-phase grid, 6 receivers."""
+    return SimulationConfig(
+        protocol=protocol, topology="grid", grid_nx=5, grid_ny=5, side=120.0,
+        group_size=6, mac="ideal", hello_phase=True, seed=seed,
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -370,37 +373,44 @@ _SOAK_KWARGS = dict(
 _SOAK_PROTOCOLS = ("mtmrp", "odmrp", "dodmrp", "maodv", "gmr")
 
 
-def _soak_campaign(runs: int, seed: int) -> int:
-    """Checked chaos runs cycling the protocols; returns violation count."""
+def _soak_campaign(runs: int, seed: int, workers: Optional[int] = None) -> int:
+    """Checked chaos runs cycling the protocols; returns the failing-run count."""
+    from repro.experiments.runner import run_many
+
     print(f"\n-- soak: {runs} checked churn runs (seed {seed}) --")
-    failures = 0
-    for i in range(runs):
-        proto = _SOAK_PROTOCOLS[i % len(_SOAK_PROTOCOLS)]
-        cfg = SimulationConfig(
-            protocol=proto, topology="grid", grid_nx=5, grid_ny=5, side=120.0,
-            group_size=6, mac="ideal", hello_phase=True, seed=seed + i,
+    kwargs = dict(_SOAK_KWARGS)
+    window = kwargs.pop("window")
+    cfgs = [
+        chaos_config(
+            _soak_config(_SOAK_PROTOCOLS[i % len(_SOAK_PROTOCOLS)], seed + i),
+            DEFAULT_POLICY, **kwargs,
         )
-        r = run_chaos_single(cfg, policy=DEFAULT_POLICY, check=True, **_SOAK_KWARGS)
+        for i in range(runs)
+    ]
+    results = run_many(cfgs, workers=workers, hooks=partial(chaos_hooks, window=window, check=True))
+    failures = 0
+    for i, res in enumerate(results):
+        r = res.reports[-1]
         status = "ok  " if not r.violations else "FAIL"
         print(
-            f"  [{i:3d}] {status} {proto:>7} seed={cfg.seed} "
+            f"  [{i:3d}] {status} {r.protocol:>7} seed={r.seed} "
             f"dr={r.delivery_ratio:.3f} minw={r.min_window:.2f} "
             f"rebuilds={r.rebuild_rounds} grafts={r.grafts_ok}/{r.grafts_failed} "
             f"degraded={r.time_degraded:.1f}s"
         )
+        failures += bool(r.violations)
         for v in r.violations[:3]:
-            failures += 1
             print(f"        {v}")
     print(f"  {runs - failures}/{runs} runs violation-free")
     return failures
 
 
-def _comparison_campaign(seed: int, runs: int = 3) -> None:
+def _comparison_campaign(seed: int, runs: int = 3, workers: Optional[int] = None) -> None:
     """Repair-on vs rebuild-only headline table (identical schedules)."""
     print(f"\n-- repair on/off under identical churn ({runs} seeds/protocol) --")
     out = chaos_sweep(
         protocols=("mtmrp", "odmrp", "dodmrp", "maodv"),
-        runs=runs, batch_seed=seed, **_SOAK_KWARGS,
+        runs=runs, batch_seed=seed, workers=workers, **_SOAK_KWARGS,
     )
     print(f"  {'protocol':>8} {'arm':>4} {'delivery':>9} {'min win':>8} "
           f"{'rebuilds':>9} {'grafts':>7} {'rerr tx':>8} {'degraded':>9}")
@@ -421,10 +431,7 @@ def _digest_gate(seed: int) -> int:
 
     failures = 0
     print("\n-- flag-off digest gate --")
-    cfg = SimulationConfig(
-        protocol="mtmrp", topology="grid", grid_nx=5, grid_ny=5, side=120.0,
-        group_size=6, mac="ideal", hello_phase=True, seed=seed,
-    )
+    cfg = _soak_config("mtmrp", seed)
     a = run_chaos_single(cfg, policy=None, **_SOAK_KWARGS)
     b = run_chaos_single(cfg, policy=None, **_SOAK_KWARGS)
     if a.trace_sha256 != b.trace_sha256:
@@ -463,8 +470,8 @@ def run_chaos(args) -> None:
 
     seed = args.seed if args.seed is not None else 90210
     print("\n== Chaos-soak campaign ==")
-    failures = _soak_campaign(args.runs, seed)
-    _comparison_campaign(seed, runs=max(2, min(args.runs // 8, 5)))
+    failures = _soak_campaign(args.runs, seed, workers=args.workers)
+    _comparison_campaign(seed, runs=max(2, min(args.runs // 8, 5)), workers=args.workers)
     failures += _digest_gate(seed)
     if failures:
         print(f"\n{failures} failure(s) in chaos campaign", file=sys.stderr)

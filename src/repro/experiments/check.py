@@ -5,9 +5,10 @@ Composes the three :mod:`repro.check` pillars into one command::
     python -m repro.experiments check --runs 50 --seed 7
 
 1. **fuzz** — ``--runs`` random scenarios (faults, loss, mobility,
-   energy budgets) executed under the :class:`~repro.check.CheckHarness`;
-   any violating scenario is serialised to ``results/check_failures/`` so
-   it can be promoted into ``tests/corpus/``.
+   energy budgets) executed under the :class:`~repro.check.CheckHarness`
+   as one ``run_many`` campaign (``--workers`` as there); any violating
+   scenario is serialised to ``results/check_failures/`` so it can be
+   promoted into ``tests/corpus/``.
 2. **oracle** — small-instance differential comparison against the
    exhaustive :func:`~repro.trees.validate.brute_force_min_transmitters`
    optimum: reports the per-run and mean MTMRP approximation ratio.
@@ -37,41 +38,41 @@ FAILURE_DIR = Path("results/check_failures")
 CORPUS_DIR = Path("tests/corpus")
 
 
-def _fuzz_campaign(runs: int, seed: int) -> int:
-    from repro.check.fuzz import random_scenario, run_scenario, save_corpus_entry
+def _fuzz_campaign(runs: int, seed: int, workers=None) -> int:
+    from repro.check.fuzz import random_scenario, save_corpus_entry, scenario_hooks
+    from repro.experiments.runner import RunError, run_many
 
     print(f"\n-- fuzz: {runs} random scenarios (seed {seed}) --")
     rng = np.random.default_rng(seed)
+    scenarios = [random_scenario(rng) for _ in range(runs)]
+    # One poisoned scenario must not kill the campaign: a crash in the
+    # simulator is itself a finding — record it (with the seed that
+    # reproduces it) exactly like an invariant violation.
+    results = run_many(
+        [sc.run_config() for sc in scenarios], workers=workers,
+        hooks=scenario_hooks, on_error="collect",
+    )
     failures = 0
-    for i in range(runs):
-        scenario = random_scenario(rng)
-        # One poisoned scenario must not kill the campaign: a crash in
-        # the simulator is itself a finding — record it (with the seed
-        # that reproduces it) exactly like an invariant violation.
-        try:
-            report = run_scenario(scenario, mode="collect")
-        except Exception as exc:  # noqa: BLE001 - isolated per scenario
-            failures += 1
-            FAILURE_DIR.mkdir(parents=True, exist_ok=True)
-            out = FAILURE_DIR / f"seed{scenario.config.seed}.json"
-            save_corpus_entry(scenario, out, note=f"crash: {exc!r}")
-            print(f"  [{i:3d}] {scenario.describe()}")
-            print(f"        CRASH {exc!r} (seed={scenario.config.seed})")
-            print(f"        -> scenario saved to {out}")
-            continue
-        if report.ok:
+    for i, (scenario, res) in enumerate(zip(scenarios, results)):
+        report = None if isinstance(res, RunError) else res.reports[-1]
+        if report is not None and report.ok:
             continue
         failures += 1
         FAILURE_DIR.mkdir(parents=True, exist_ok=True)
         out = FAILURE_DIR / f"seed{scenario.config.seed}.json"
-        save_corpus_entry(
-            scenario, out,
-            note="; ".join(sorted({v.invariant for v in report.violations})),
-            trace_sha256=report.trace_sha256,
-        )
+        if report is None:
+            save_corpus_entry(scenario, out, note=f"crash: {res}")
+            found = [f"CRASH {res}"]
+        else:
+            save_corpus_entry(
+                scenario, out,
+                note="; ".join(sorted({v.invariant for v in report.violations})),
+                trace_sha256=report.trace_sha256,
+            )
+            found = [str(v).splitlines()[0] for v in report.violations[:5]]
         print(f"  [{i:3d}] {scenario.describe()}")
-        for v in report.violations[:5]:
-            print(f"        {str(v).splitlines()[0]}")
+        for line in found:
+            print(f"        {line}")
         print(f"        -> scenario saved to {out}")
     print(f"  {runs - failures}/{runs} scenarios violation-free")
     return failures
@@ -140,7 +141,7 @@ def run_check(args) -> None:
     runs = args.runs
     seed = args.seed if args.seed is not None else 20260805
     print("\n== Invariant-check campaign ==")
-    failures = _fuzz_campaign(runs, seed)
+    failures = _fuzz_campaign(runs, seed, workers=args.workers)
     _oracle_campaign(instances=max(runs // 5, 4), seed=seed)
     _cross_protocol_campaign(seed=seed)
     failures += _replay_corpus()

@@ -15,11 +15,14 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.plan import FaultEvent
     from repro.net.node import Node
+    from repro.protocols.repair import RepairPolicy
     from repro.traffic.spec import SessionSpec
 
 __all__ = [
     "SimulationConfig",
+    "Schedule",
     "PROTOCOLS",
     "make_agent_factory",
     "make_positions",
@@ -39,6 +42,49 @@ PROTOCOL_LABELS: Dict[str, str] = {
     "maodv": "MAODV",
     "gmr": "GMR",
 }
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """What a run does after route discovery, beyond the paper's one packet.
+
+    The source streams ``n_packets`` at ``rate_pps`` from the end of
+    discovery; the run drains ``(refresh_interval or 0) + 1`` s past it.
+    ``refresh_interval`` adds periodic JoinQuery refresh (forwarder soft
+    state expires after 2.5 periods; with a HELLO phase receivers
+    watchdog their forwarder); ``repair`` installs the self-healing layer.
+    ``faults``, ``energy_budget`` (joules per node) and ``mobility`` arm
+    before simulated time passes; ``crash_forwarder_at`` (a seeded
+    mid-tree forwarder crash) and ``churn`` (``(n_cycles, down_time)`` on
+    the routing tree) are timed from the stream's start.  Scheduled runs
+    start their packet uids at 0 and never warm-start or batch.  Fields
+    accept their JSON forms, so configs round-trip through JSON.
+    """
+
+    n_packets: int = 20
+    rate_pps: float = 10.0
+    refresh_interval: Optional[float] = None
+    repair: Optional["RepairPolicy"] = None
+    faults: Tuple["FaultEvent", ...] = ()
+    crash_forwarder_at: Optional[float] = None
+    churn: Optional[Tuple[int, float]] = None
+    energy_budget: Optional[float] = None
+    #: random-waypoint keyword arguments as sorted ``(name, value)`` pairs
+    mobility: Optional[Tuple[Tuple[str, float], ...]] = None
+
+    def __post_init__(self) -> None:
+        from repro.faults.plan import FaultEvent
+        from repro.protocols.repair import RepairPolicy
+
+        if isinstance(self.repair, dict):
+            object.__setattr__(self, "repair", RepairPolicy.from_dict(self.repair))
+        faults = tuple(e if isinstance(e, FaultEvent) else FaultEvent.from_dict(e) for e in self.faults)
+        object.__setattr__(self, "faults", faults)
+        if self.churn is not None:
+            object.__setattr__(self, "churn", (int(self.churn[0]), float(self.churn[1])))
+        if self.mobility is not None:
+            pairs = self.mobility.items() if isinstance(self.mobility, dict) else self.mobility
+            object.__setattr__(self, "mobility", tuple(sorted((str(k), float(v)) for k, v in pairs)))
 
 
 @dataclass(frozen=True)
@@ -99,7 +145,13 @@ class SimulationConfig:
     #: a TrafficPlan, or dict payloads (JSON round-trips).
     sessions: Optional[Tuple["SessionSpec", ...]] = None
 
+    #: what happens after route discovery (see :class:`Schedule`); None
+    #: (default) is the paper's one-packet round.  Accepts a dict payload.
+    schedule: Optional[Schedule] = None
+
     def __post_init__(self) -> None:
+        if self.schedule is not None and not isinstance(self.schedule, Schedule):
+            object.__setattr__(self, "schedule", Schedule(**self.schedule))
         if self.protocol not in PROTOCOL_LABELS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.topology not in ("grid", "random"):

@@ -5,7 +5,9 @@ only sketches the recovery machinery (RouteError + rebuild).  This module
 exercises it: stream CBR data down an established tree, kill a mid-tree
 forwarder (and/or run a :class:`~repro.faults.FaultPlan`, an energy
 budget, or a lossy channel), and measure how delivery degrades and when
-the soft-state refresh cycle heals the tree.
+the soft-state refresh cycle heals the tree.  The run itself is the
+config's :class:`~repro.experiments.config.Schedule`; this module keeps
+only what it measures (:class:`FaultMeter`).
 
 Every run is a pure function of its :class:`SimulationConfig` — the same
 seed replays bit-for-bit, which :func:`run_fault_single` makes checkable
@@ -20,10 +22,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.config import SimulationConfig
-from repro.sim.trace import TraceKind, TraceRecorder, trace_digest
+from repro.experiments.config import Schedule, SimulationConfig
+from repro.sim.hooks import Meter
+from repro.sim.trace import trace_digest
 
-__all__ = ["FaultRunResult", "run_fault_single", "fault_sweep", "trace_digest"]
+__all__ = [
+    "FaultRunResult",
+    "FaultMeter",
+    "fault_hooks",
+    "run_fault_single",
+    "fault_sweep",
+    "trace_digest",
+]
+
+#: fraction of the surviving receivers a post-crash packet must reach for
+#: the tree to count as recovered
+RECOVERY_THRESHOLD = 0.9
 
 
 @dataclass(frozen=True)
@@ -60,6 +74,52 @@ class FaultRunResult:
     mac_dropped_retry: int = 0
 
 
+class FaultMeter(Meter):
+    """Measures a finished fault-injected stream as a :class:`FaultRunResult`."""
+
+    def measure(self) -> FaultRunResult:
+        from repro.metrics.faults import collect_fault_metrics, fault_log
+
+        cfg, net = self.cfg, self.net
+        trace = net.sim.trace
+        fm = collect_fault_metrics(
+            trace,
+            net.positions,
+            cfg.comm_range,
+            self.receivers,
+            self.send_times(),
+            source=cfg.source,
+            group=cfg.group,
+            threshold=RECOVERY_THRESHOLD,
+        )
+        log = tuple(fault_log(trace))
+        crashes = [t for t, _n, kind, _c in log if kind == "crash"]
+        return FaultRunResult(
+            protocol=cfg.protocol,
+            seed=cfg.seed,
+            packets_sent=fm.packets_sent,
+            crashes=fm.crashes,
+            first_crash_time=crashes[0] if crashes else None,
+            delivery_ratio=fm.delivery_ratio,
+            pre_fault_delivery=fm.pre_fault_delivery,
+            post_fault_delivery=fm.post_fault_delivery,
+            recovery_latency=fm.recovery_latency,
+            time_to_first_partition=fm.time_to_first_partition,
+            frames_lost=net.channel.frames_lost,
+            collisions=net.channel.frames_collided,
+            energy_joules=net.energy_summary()["total_joules"],
+            trace_sha256=trace_digest(trace),
+            fault_log=log,
+            mac_retries=sum(getattr(n.mac, "retries", 0) for n in net.nodes),
+            mac_dropped_retry=sum(getattr(n.mac, "dropped_retry", 0) for n in net.nodes),
+        )
+
+
+def fault_hooks(cfg: SimulationConfig) -> list:
+    """``run_many`` hook factory: one :class:`FaultMeter` per run."""
+    return [FaultMeter()]
+
+
 def run_fault_single(
     cfg: SimulationConfig,
     n_packets: int = 20,
@@ -68,14 +128,12 @@ def run_fault_single(
     crash_forwarder_at: Optional[float] = None,
     plan=None,
     energy_budget: Optional[float] = None,
-    recovery_threshold: float = 0.9,
-    fg_timeout_factor: float = 2.5,
 ) -> FaultRunResult:
     """Stream CBR data through ``cfg``'s deployment while faults fire.
 
     The source floods one JoinQuery, then refreshes every
-    ``refresh_interval`` seconds (forwarder soft state expires after
-    ``fg_timeout_factor`` refresh periods).  Faults come from any mix of:
+    ``refresh_interval`` seconds (forwarder soft state expires after 2.5
+    refresh periods).  Faults come from any mix of:
 
     * ``crash_forwarder_at`` — kill one seeded mid-tree forwarder at that
       time (measured from the start of the data phase);
@@ -84,83 +142,24 @@ def run_fault_single(
     * ``energy_budget`` — per-node battery in joules; depletion kills;
     * ``cfg.loss_model`` — channel-level frame erasures.
 
-    The deployment (HELLO warmup or static bootstrap included) comes from
-    :func:`~repro.sim.snapshot.build_prefix`, like every other run.
+    ``plan`` and ``energy_budget`` arm before simulated time passes, as
+    every schedule's absolute-time stressors do.  The run is
+    :func:`~repro.experiments.runner.run_single` under that
+    :class:`Schedule`, measured by a :class:`FaultMeter`.
     """
-    from repro.experiments.runner import install_agents
-    from repro.faults import FaultInjector
-    from repro.metrics.faults import collect_fault_metrics
-    from repro.net.packet import reset_uids
-    from repro.sim.snapshot import build_prefix
+    from repro.experiments.runner import run_single
 
-    reset_uids()  # uids are process-global; fresh sequence per run
-    sim, net, receivers, positions, _members = build_prefix(
-        cfg,
-        trace=TraceRecorder(
-            enabled_kinds={TraceKind.TX, TraceKind.DELIVER, TraceKind.MARK, TraceKind.NOTE}
-        ),
+    meter = FaultMeter()
+    schedule = Schedule(
+        n_packets=n_packets,
+        rate_pps=rate_pps,
+        refresh_interval=refresh_interval,
+        crash_forwarder_at=crash_forwarder_at,
+        faults=tuple(plan.events) if plan is not None else (),
+        energy_budget=energy_budget,
     )
-    agents, _plan, _members = install_agents(cfg, net, receivers)
-    for a in agents:
-        # forwarder soft state must outlive one refresh period but expire
-        # soon after, so a dead relay's tree entry ages out by itself
-        a.fg_timeout = fg_timeout_factor * refresh_interval
-
-    src = agents[cfg.source]
-    src.request_route(cfg.group)
-    sim.run(until=sim.now + cfg.effective_construction_time)
-    src.start_periodic_refresh(cfg.group, refresh_interval)
-
-    injector = FaultInjector(net, plan=plan, energy_budget=energy_budget).arm()
-    t0 = sim.now
-    if crash_forwarder_at is not None:
-        injector.schedule_forwarder_crash(
-            t0 + crash_forwarder_at, agents, source=cfg.source, group=cfg.group
-        )
-
-    interval = 1.0 / rate_pps
-    send_times: Dict[int, float] = {}
-    for k in range(n_packets):
-        t = t0 + k * interval
-        send_times[k] = t
-        sim.schedule_at(t, src.send_data, cfg.group, k)
-    # drain: the tail packet plus one full refresh/rebuild cycle
-    sim.run(until=t0 + n_packets * interval + refresh_interval + 1.0)
-    src.stop_periodic_refresh(cfg.group)
-
-    fm = collect_fault_metrics(
-        sim.trace,
-        positions,
-        cfg.comm_range,
-        receivers,
-        send_times,
-        source=cfg.source,
-        group=cfg.group,
-        threshold=recovery_threshold,
-    )
-    result = FaultRunResult(
-        protocol=cfg.protocol,
-        seed=cfg.seed,
-        packets_sent=fm.packets_sent,
-        crashes=fm.crashes,
-        first_crash_time=injector.first_crash_time(),
-        delivery_ratio=fm.delivery_ratio,
-        pre_fault_delivery=fm.pre_fault_delivery,
-        post_fault_delivery=fm.post_fault_delivery,
-        recovery_latency=fm.recovery_latency,
-        time_to_first_partition=fm.time_to_first_partition,
-        frames_lost=net.channel.frames_lost,
-        collisions=net.channel.frames_collided,
-        energy_joules=net.energy_summary()["total_joules"],
-        trace_sha256=trace_digest(sim.trace),
-        fault_log=tuple(injector.log),
-        mac_retries=sum(getattr(n.mac, "retries", 0) for n in net.nodes),
-        mac_dropped_retry=sum(
-            getattr(n.mac, "dropped_retry", 0) for n in net.nodes
-        ),
-    )
-    net.close()
-    return result
+    run_single(cfg.with_(schedule=schedule), hooks=[meter])
+    return meter.result
 
 
 def fault_sweep(
@@ -176,36 +175,46 @@ def fault_sweep(
     loss_rate: float = 0.0,
     mac: str = "ideal",
     batch_seed: int = 4242,
+    workers: Optional[int] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Fault metrics per protocol under a mid-stream forwarder crash.
+
+    Every run goes through one :func:`~repro.experiments.runner.run_many`
+    campaign (``workers`` as there), measured by :class:`FaultMeter`.
 
     Means are paired with p50/p95 percentiles where the distribution has
     a tail the mean would hide: recovery latency is dominated by the
     refresh-cycle alignment of the crash, so the honest summary of "how
     slow can healing get" is the 95th percentile, not the average.
     """
-    from repro.experiments.runner import aggregate, monte_carlo
+    from repro.experiments.runner import aggregate, field_means, monte_carlo, run_many
 
+    schedule = Schedule(
+        n_packets=n_packets,
+        rate_pps=rate_pps,
+        refresh_interval=refresh_interval,
+        crash_forwarder_at=crash_forwarder_at,
+    )
+    cfgs = [
+        c.with_(schedule=schedule)
+        for proto in protocols
+        for c in monte_carlo(
+            SimulationConfig(
+                protocol=proto,
+                topology=topology,
+                group_size=group_size,
+                mac=mac,
+                loss_model=loss_model,
+                loss_rate=loss_rate,
+            ),
+            runs,
+            batch_seed,
+        )
+    ]
+    runs_done = iter(run_many(cfgs, workers=workers, hooks=fault_hooks))
     out: Dict[str, Dict[str, float]] = {}
     for proto in protocols:
-        base = SimulationConfig(
-            protocol=proto,
-            topology=topology,
-            group_size=group_size,
-            mac=mac,
-            loss_model=loss_model,
-            loss_rate=loss_rate,
-        )
-        results: List[FaultRunResult] = [
-            run_fault_single(
-                c,
-                n_packets=n_packets,
-                rate_pps=rate_pps,
-                refresh_interval=refresh_interval,
-                crash_forwarder_at=crash_forwarder_at,
-            )
-            for c in monte_carlo(base, runs, batch_seed)
-        ]
+        results: List[FaultRunResult] = [next(runs_done).reports[0] for _ in range(runs)]
         recov = [r.recovery_latency for r in results if r.recovery_latency is not None]
         # ``aggregate`` duck-types on attribute access, so it summarises
         # FaultRunResult batches too (recovery latency is summarised by
@@ -230,20 +239,14 @@ def fault_sweep(
             "delivery_ratio": delivery["mean"],
             "delivery_p50": delivery["p50"],
             "delivery_p95": delivery["p95"],
-            "pre_fault_delivery": float(np.mean([r.pre_fault_delivery for r in results])),
-            "post_fault_delivery": float(np.mean([r.post_fault_delivery for r in results])),
+            **field_means(results, "pre_fault_delivery", "post_fault_delivery"),
             "recovery_latency": float(np.mean(recov)) if recov else float("nan"),
             "recovery_p50": recovery_p50,
             "recovery_p95": recovery_p95,
             "recovered_runs": float(len(recov)) / len(results),
-            "crashes": float(np.mean([r.crashes for r in results])),
-            "frames_lost": float(np.mean([r.frames_lost for r in results])),
             # link-layer retry failures sit next to the route-level
             # metrics: a delivery dip with high dropped_retry is a MAC
             # story, not a routing story
-            "mac_retries": float(np.mean([r.mac_retries for r in results])),
-            "mac_dropped_retry": float(
-                np.mean([r.mac_dropped_retry for r in results])
-            ),
+            **field_means(results, "crashes", "frames_lost", "mac_retries", "mac_dropped_retry"),
         }
     return out

@@ -11,14 +11,13 @@ saturation knee complements the paper's energy story.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
-import numpy as np
+from repro.experiments.config import Schedule, SimulationConfig
+from repro.sim.hooks import Meter
+from repro.sim.trace import TraceKind
 
-from repro.experiments.config import SimulationConfig
-from repro.sim.trace import TraceKind, TraceRecorder
-
-__all__ = ["CbrResult", "run_cbr", "load_sweep"]
+__all__ = ["CbrResult", "CbrMeter", "cbr_hooks", "run_cbr", "load_sweep"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +36,31 @@ class CbrResult:
     collisions: int
 
 
+class CbrMeter(Meter):
+    """Measures a finished CBR stream as a :class:`CbrResult`."""
+
+    def measure(self) -> CbrResult:
+        trace = self.net.sim.trace
+        schedule = self.cfg.schedule
+        n_packets = schedule.n_packets
+        receivers = self.receivers
+        delivered = sum(1 for rec in trace.filter(kind=TraceKind.DELIVER) if rec.node in receivers)
+        return CbrResult(
+            protocol=self.cfg.protocol,
+            rate_pps=schedule.rate_pps,
+            packets_sent=n_packets,
+            delivery_ratio=delivered / (n_packets * len(receivers)),
+            goodput_rps=delivered / (n_packets * (1.0 / schedule.rate_pps)),
+            tx_per_packet=trace.count(TraceKind.TX, "DataPacket") / n_packets,
+            collisions=self.net.channel.frames_collided,
+        )
+
+
+def cbr_hooks(cfg: SimulationConfig) -> list:
+    """``run_many`` hook factory: one :class:`CbrMeter` per run."""
+    return [CbrMeter()]
+
+
 def run_cbr(
     cfg: SimulationConfig,
     rate_pps: float,
@@ -44,44 +68,14 @@ def run_cbr(
 ) -> CbrResult:
     """Stream ``n_packets`` at ``rate_pps`` down one constructed tree.
 
-    The deployment comes from :func:`~repro.sim.snapshot.build_prefix`,
-    so the config's loss model, HELLO phase and shadowing all apply.
+    The run is ``cfg`` under a refresh-free :class:`Schedule`, so the
+    config's loss model, HELLO phase and shadowing all apply.
     """
-    from repro.experiments.runner import install_agents
-    from repro.sim.snapshot import build_prefix
+    from repro.experiments.runner import run_single
 
-    sim, net, receivers, _positions, _members = build_prefix(
-        cfg, trace=TraceRecorder(enabled_kinds={TraceKind.TX, TraceKind.DELIVER})
-    )
-    agents, _plan, _members = install_agents(cfg, net, receivers)
-
-    src = agents[cfg.source]
-    src.request_route(cfg.group)
-    sim.run(until=sim.now + cfg.effective_construction_time)
-
-    interval = 1.0 / rate_pps
-    t0 = sim.now
-    for k in range(n_packets):
-        sim.schedule_at(t0 + k * interval, src.send_data, cfg.group, k)
-    # allow the tail of the stream to drain
-    sim.run(until=t0 + n_packets * interval + 1.0)
-
-    delivered = 0
-    for rec in sim.trace.filter(kind=TraceKind.DELIVER):
-        if rec.node in receivers:
-            delivered += 1
-    data_tx = sim.trace.count(TraceKind.TX, "DataPacket")
-    duration = n_packets * interval
-    net.close()
-    return CbrResult(
-        protocol=cfg.protocol,
-        rate_pps=rate_pps,
-        packets_sent=n_packets,
-        delivery_ratio=delivered / (n_packets * len(receivers)),
-        goodput_rps=delivered / duration,
-        tx_per_packet=data_tx / n_packets,
-        collisions=net.channel.frames_collided,
-    )
+    meter = CbrMeter()
+    run_single(cfg.with_(schedule=Schedule(n_packets=n_packets, rate_pps=rate_pps)), hooks=[meter])
+    return meter.result
 
 
 def load_sweep(
@@ -92,21 +86,23 @@ def load_sweep(
     runs: int = 5,
     n_packets: int = 20,
     batch_seed: int = 777,
+    workers: Optional[int] = None,
 ) -> Dict[float, Dict[str, float]]:
-    """Mean delivery/goodput/overhead per offered rate."""
-    from repro.experiments.runner import monte_carlo
+    """Mean delivery/goodput/overhead per offered rate (one ``run_many`` campaign)."""
+    from repro.experiments.runner import field_means, monte_carlo, run_many
 
-    out: Dict[float, Dict[str, float]] = {}
     base = SimulationConfig(protocol=protocol, topology=topology, group_size=group_size)
+    seeds = monte_carlo(base, runs, batch_seed)
+    cfgs = [
+        c.with_(schedule=Schedule(n_packets=n_packets, rate_pps=rate))
+        for rate in rates_pps
+        for c in seeds
+    ]
+    runs_done = iter(run_many(cfgs, workers=workers, hooks=cbr_hooks))
+    out: Dict[float, Dict[str, float]] = {}
     for rate in rates_pps:
-        results: List[CbrResult] = [
-            run_cbr(c, rate, n_packets=n_packets)
-            for c in monte_carlo(base, runs, batch_seed)
-        ]
-        out[rate] = {
-            "delivery_ratio": float(np.mean([r.delivery_ratio for r in results])),
-            "goodput_rps": float(np.mean([r.goodput_rps for r in results])),
-            "tx_per_packet": float(np.mean([r.tx_per_packet for r in results])),
-            "collisions": float(np.mean([r.collisions for r in results])),
-        }
+        results: List[CbrResult] = [next(runs_done).reports[0] for _ in range(runs)]
+        out[rate] = field_means(
+            results, "delivery_ratio", "goodput_rps", "tx_per_packet", "collisions"
+        )
     return out

@@ -68,7 +68,7 @@ def run_obs(args) -> None:
     last_obs = None
     for k, cfg in enumerate(cfgs):
         ob = Observer(window=window)
-        result = run_single(cfg, obs=ob)
+        result = run_single(cfg, hooks=[ob])
         for field in series:
             series[field].extend(ob.sampler.series(field))
         for name, value in ob.registry.counters.items():

@@ -39,7 +39,7 @@ import threading
 import traceback as _traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -50,9 +50,10 @@ from repro.experiments.config import (
     SimulationConfig,
     make_agent_factory,
 )
-from repro.sim.hooks import phase
+from repro.sim.hooks import RunHook, phase
 from repro.sim.rng import RngRegistry
 from repro.sim.snapshot import (
+    ForkedPrefix,
     SnapshotCache,
     WarmSnapshot,
     absorb_trace,
@@ -67,11 +68,11 @@ __all__ = [
     "RunError",
     "run_single",
     "run_many",
-    "install_agents",
     "resolve_workers",
     "monte_carlo",
     "aggregate",
     "aggregate_columnar",
+    "field_means",
     "config_hash",
     "shared_pool",
     "shutdown_pool",
@@ -131,13 +132,19 @@ class RunResult:
     #: single-session runs
     traffic: Optional[object] = None
 
+    #: ``run_many(hooks=...)``: each hook's ``run_report()``, in hook order
+    reports: Tuple = ()
+
 
 # --------------------------------------------------------------------- #
 # run-result disk cache
 # --------------------------------------------------------------------- #
 def config_hash(cfg: SimulationConfig) -> str:
     """Content hash identifying a run: the full config + cache version."""
-    payload = repr((CACHE_VERSION, sorted(asdict(cfg).items())))
+    items = asdict(cfg)
+    if items["schedule"] is None:  # unscheduled configs hash as before the field
+        del items["schedule"]
+    payload = repr((CACHE_VERSION, sorted(items.items())))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -161,6 +168,7 @@ def _cache_store(path: Path, result: RunResult) -> None:
     payload = asdict(result)
     payload.pop("positions", None)
     payload.pop("traffic", None)  # multi-session runs are never cached
+    payload.pop("reports", None)  # only hooked runs carry reports
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp")
     # default=float folds numpy scalars; write-then-rename keeps readers
@@ -174,11 +182,10 @@ def run_single(
     keep_positions: bool = False,
     trace: Optional[TraceRecorder] = None,
     cache: Union[None, bool, str, Path] = None,
-    check=None,
     warm_start: Union[None, bool, SnapshotCache, WarmSnapshot] = None,
-    obs=None,
+    hooks: Sequence = (),
 ) -> RunResult:
-    """Execute one multicast round under ``cfg`` and collect all metrics.
+    """Execute one run under ``cfg`` and collect all metrics.
 
     Parameters
     ----------
@@ -192,14 +199,8 @@ def run_single(
         Run-result disk cache: a directory path enables it there, True
         uses ``$REPRO_RESULT_CACHE``, False disables, and None (default)
         enables iff ``$REPRO_RESULT_CACHE`` is set.  Only plain metric
-        runs are cached — never runs keeping positions or an external
-        trace, whose value is in the side artifacts.
-    check:
-        Optional :class:`repro.check.CheckHarness` enforcing protocol
-        invariants at the route-discovery and end-of-run checkpoints
-        (and on RouteErrors).  The harness only reads simulator state,
-        so the run's trace is identical with or without it.  Checked
-        runs are never cached — the point is to execute them.
+        runs are cached — never runs keeping positions, an external
+        trace or hooks, whose value is in the side artifacts.
     warm_start:
         Fork the run's prefix (topology/channel/HELLO warmup) from a
         warm snapshot instead of rebuilding it — bit-identical to the
@@ -207,17 +208,17 @@ def run_single(
         process-wide :class:`SnapshotCache`; a :class:`SnapshotCache`
         scopes reuse to the caller; a :class:`WarmSnapshot` must match
         this config's :func:`~repro.sim.snapshot.prefix_key`.  Ignored
-        for checked or observed runs: ``check`` and ``obs`` ride the run
-        as hooks on the live kernel (see :mod:`repro.sim.hooks`).
-    obs:
-        Optional :class:`repro.obs.Observer` attached for the whole run:
-        counters, protocol-phase spans (prefix-build, hello-warmup,
-        route-discovery, data-delivery) and windowed samples.  The
-        observer reads state only, so the trace is bit-identical with or
-        without it.  Observed runs are never cached and never warm-start
-        (observer state isn't part of a snapshot); ``obs.finish()`` is
-        called before returning.  Without one (the default) the run
-        executes no observability code.
+        for hooked runs, whose hooks ride the live kernel, and for
+        scheduled ones, whose stressors arm before the snapshot boundary.
+    hooks:
+        Run hooks (:mod:`repro.sim.hooks`) riding the whole run: a
+        :class:`repro.check.CheckHarness` enforcing protocol invariants
+        at the route-discovery and end-of-run checkpoints (and on
+        RouteErrors), an :class:`repro.obs.Observer` (counters, phase
+        spans, windowed samples), or a driver's
+        :class:`~repro.sim.hooks.Meter`.  Hooks only read simulator
+        state, so the trace is bit-identical with or without them.
+        Without any (the default) the run executes no hook code.
     """
     cache_dir: Optional[Path]
     if cache is False:
@@ -228,7 +229,7 @@ def run_single(
         cache_dir = Path(cache)
     from repro.traffic.spec import active_sessions
 
-    hooks = [h for h in (check, obs) if h is not None]
+    hooks = tuple(hooks)
     cacheable = (
         cache_dir is not None
         and not keep_positions
@@ -244,7 +245,7 @@ def run_single(
         if cached is not None:
             return cached
 
-    warm = None if hooks else _resolve_warm(warm_start)
+    warm = None if hooks or cfg.schedule is not None else _resolve_warm(warm_start)
 
     # Pause cyclic GC across build + run + metrics: network assembly
     # allocates tens of thousands of containers whose churn triggers
@@ -312,9 +313,7 @@ def _execute_warm(
     else:
         snap = warm.get_or_capture(cfg, trace=trace)
     fork = snap.fork()
-    result = _run_suffix(
-        cfg, fork.sim, fork.net, fork.receivers, fork.positions, keep_positions
-    )
+    result = _run_suffix(cfg, fork, keep_positions)
     if trace is not None:
         # the continuation ran on the fork's private recorder; hand the
         # full trace (prefix + suffix) back to the caller's
@@ -328,85 +327,161 @@ def _execute_run(
     trace: Optional[TraceRecorder] = None,
     hooks: Sequence = (),
 ) -> RunResult:
-    """Build the network, run the round, and collect metrics (no caching)."""
-    p = build_prefix(cfg, trace=trace, hooks=hooks)
-    return _run_suffix(cfg, p.sim, p.net, p.receivers, p.positions, keep_positions, hooks=hooks)
+    """Build the network, run the round, and collect metrics (no caching).
 
-
-def install_agents(cfg: SimulationConfig, net, receivers: Sequence[int], hooks: Sequence = ()):
-    """Install and start ``cfg``'s protocol agents, then bind the hooks.
-
-    The first step after the snapshot boundary, shared by every run and
-    experiment schedule.  HELLO agents (when present) were already started
-    by the prefix, so only the newly installed protocol agents are
-    started — their ``start()`` is a no-op, making this identical to the
-    historical ``net.start()`` pass.  Returns ``(agents, plan, members)``:
-    the per-node agents, the active session plan (None on single-session
-    runs) and each session's receivers by ``(source, group)``, recovered
-    from node memberships in node order.
+    A scheduled run starts its packet uids at 0, so nothing that ran
+    before it in this process reaches its trace.
     """
-    from repro.traffic.engine import session_members
-    from repro.traffic.spec import active_sessions
+    arming = None
+    if cfg.schedule is not None:
+        from repro.net.packet import reset_uids
 
-    agents = net.install(make_agent_factory(cfg))
-    for agent in agents:
-        agent.start()
-    plan = active_sessions(cfg)
-    members = None if plan is None else session_members(net, plan)
-    for h in hooks:
-        h.on_bind(net, agents, cfg, receivers, members)
-    return agents, plan, members
+        reset_uids()
+        arming = _ArmAtWarmup(cfg.schedule)
+    p = build_prefix(cfg, trace=trace, hooks=hooks if arming is None else (*hooks, arming))
+    return _run_suffix(cfg, p, keep_positions, hooks=hooks, injector=getattr(arming, "injector", None))
+
+
+#: forwarder soft state outlives one refresh period and expires soon
+#: after, so a dead relay's tree entry ages out by itself
+FG_TIMEOUT_FACTOR = 2.5
+
+#: seconds between a receiver's checks on its serving forwarder
+MONITOR_INTERVAL = 1.0
+
+
+def _arm(schedule, net):
+    """Start the schedule's mobility; arm its fault events and energy budget."""
+    from repro.faults import FaultInjector, FaultPlan
+
+    if schedule.mobility is not None:
+        from repro.net.mobility import RandomWaypointMobility
+
+        RandomWaypointMobility(net, **dict(schedule.mobility)).start()
+    plan = FaultPlan(schedule.faults)
+    return FaultInjector(net, plan=plan, energy_budget=schedule.energy_budget).arm()
+
+
+class _ArmAtWarmup(RunHook):
+    """Arms a schedule's stressors as the HELLO warmup begins: their times
+    are absolute, and the warmup advances the clock past early faults.
+    On a static bootstrap :func:`_run_suffix` arms them at bind."""
+
+    injector = None
+
+    def __init__(self, schedule) -> None:
+        self.schedule = schedule
+
+    def on_phase_begin(self, name: str, sim, net, **meta) -> None:
+        if name == "hello-warmup":
+            self.injector = _arm(self.schedule, net)
 
 
 def _run_suffix(
     cfg: SimulationConfig,
-    sim,
-    net,
-    receivers: List[int],
-    positions: np.ndarray,
+    prefix: ForkedPrefix,
     keep_positions: bool = False,
     hooks: Sequence = (),
+    injector=None,
 ) -> RunResult:
-    """Install the protocol agents and run the discovery/data phases.
+    """Run everything after the snapshot boundary: the one run schedule.
 
-    Everything after the snapshot boundary: the only part of a run that
-    depends on ``protocol``/``backoff_*``/phase timings.  Each phase is
-    ``(name, kick, until)``: ``kick`` starts it, then the kernel runs to
-    ``until`` between the hooks' phase events.  The network is closed
-    once the result is built, so the deployment is freed by reference
-    counting (see :meth:`repro.net.network.Network.close`).
+    Installs and starts the protocol agents (HELLO agents were started by
+    the prefix) and binds the hooks, then runs route discovery (on-demand
+    protocols; each session's from its start).  Without ``cfg.schedule``
+    the paper's round follows: one data packet, run to ``t0 + settle +
+    data_time``.  Under a :class:`~repro.experiments.config.Schedule` the
+    source streams packet ``k`` at ``t_data + k / rate`` from the end of
+    discovery amid refresh, route monitors, repair and faults
+    (``injector`` holds those armed during the HELLO warmup), and the run
+    drains ``(refresh or 0) + 1`` s past the stream.  Hooks see both
+    phases and ``on_finish``; the network is closed once the result is
+    built, so reference counting frees the deployment.
     """
     from repro.metrics.collect import collect_metrics
+    from repro.traffic.engine import schedule_sessions, session_members
+    from repro.traffic.spec import active_sessions
 
-    agents, plan, members = install_agents(cfg, net, receivers, hooks)
+    sim, net, receivers = prefix.sim, prefix.net, prefix.receivers
+    agents = net.install(make_agent_factory(cfg))
+    for agent in agents:
+        agent.start()
+    plan = active_sessions(cfg)
+    # each session's receivers in node order; ``flows`` keeps draw order
+    members = None if plan is None else session_members(net, plan)
+    for h in hooks:
+        h.on_bind(net, agents, cfg, receivers, members)
+    schedule = cfg.schedule
     source_agent = agents[cfg.source]
     t0 = sim.now
     settle = cfg.effective_construction_time
-    end = t0 + settle + cfg.data_time
     geographic = cfg.protocol == "gmr"
-    if plan is not None:
-        from repro.traffic.engine import schedule_sessions
+    on_demand = not geographic and cfg.protocol != "flooding"
+    refresh = None if schedule is None else schedule.refresh_interval
+    refreshing = refresh is not None and on_demand
+    flows = prefix.members if plan is not None else {(cfg.source, cfg.group): receivers}
+    if schedule is not None:
+        if injector is None:  # static bootstrap: arm at bind
+            injector = _arm(schedule, net)
+        for a in agents if on_demand else ():
+            if refresh is not None:
+                a.fg_timeout = FG_TIMEOUT_FACTOR * refresh
+            if schedule.repair is not None and getattr(a, "supports_repair", False):
+                a.repair_policy = schedule.repair
 
-        end = schedule_sessions(cfg, sim, net, agents, plan, members, t0=t0)
-        first_data = t0 + min(s.start for s in plan) + settle
-        phases = (("route-discovery", None, first_data), ("data-delivery", None, end))
-    elif cfg.protocol == "flooding":
-        phases = (("data-delivery", partial(source_agent.originate, cfg.group, 0), end),)
-    elif geographic:
-        # stateless: no construction phase; the packet carries the
-        # destination positions (the GMR assumption set)
-        dests = {d: net.node(d).position for d in receivers}
-        phases = (("data-delivery", partial(source_agent.multicast, cfg.group, dests, seq=0), end),)
-    else:
-        phases = (
-            ("route-discovery", partial(source_agent.request_route, cfg.group), t0 + settle),
-            ("data-delivery", partial(source_agent.send_data, cfg.group, 0), end),
+    if plan is not None:
+        stream_end = schedule_sessions(cfg, sim, net, agents, plan, members, t0=t0)
+    if plan is not None or on_demand:  # flooding and GMR build no routes
+        with phase(hooks, "route-discovery", sim, net, protocol=cfg.protocol):
+            if plan is None:
+                source_agent.request_route(cfg.group)
+                sim.run(until=t0 + settle)
+            else:
+                sim.run(until=t0 + min(s.start for s in plan) + settle)
+
+    t_data = sim.now
+    if refreshing:
+        for (source, group), recv in flows.items():
+            agents[source].start_periodic_refresh(group, refresh)
+            if cfg.hello_phase:
+                # with live HELLO maintenance each receiver watchdogs its
+                # serving forwarder; a dead one triggers a RouteError
+                for r in recv:
+                    agents[r].start_route_monitor(source, group, interval=MONITOR_INTERVAL)
+    n, interval = (1, 0.0) if schedule is None else (schedule.n_packets, 1.0 / schedule.rate_pps)
+    if schedule is not None and schedule.crash_forwarder_at is not None:
+        injector.schedule_forwarder_crash(
+            t_data + schedule.crash_forwarder_at, agents, source=cfg.source, group=cfg.group
         )
-    for name, kick, until in phases:
-        with phase(hooks, name, sim, net, protocol=cfg.protocol):
-            if kick is not None:
-                kick()
-            sim.run(until=until)
+    if schedule is not None and schedule.churn is not None:
+        from repro.experiments.chaos import build_churn_plan
+
+        n_cycles, down_time = schedule.churn
+        # churn fires strictly inside the stream so every crash competes
+        # with live traffic; the margin keeps the tail packets measurable
+        window = (t_data + 2 * interval, t_data + n * interval - down_time)
+        injector.add(build_churn_plan(cfg, net.positions, receivers, window, n_cycles, down_time))
+    if plan is None:
+        if on_demand:
+            send = partial(source_agent.send_data, cfg.group)
+        elif geographic:
+            # stateless: the packet carries the destination positions
+            # (the GMR assumption set)
+            send = partial(source_agent.multicast, cfg.group, {d: net.node(d).position for d in receivers})
+        else:
+            send = partial(source_agent.originate, cfg.group)
+        for k in range(n):
+            sim.schedule_at(t_data + k * interval, send, k)
+        stream_end = t_data + n * interval
+    if schedule is None:
+        end = stream_end if plan is not None else t0 + settle + cfg.data_time
+    else:
+        end = stream_end + 1.0 if refresh is None else stream_end + refresh + 1.0
+    with phase(hooks, "data-delivery", sim, net, protocol=cfg.protocol):
+        sim.run(until=end)
+    if refreshing:
+        for source, group in flows:
+            agents[source].stop_periodic_refresh(group)
     for h in hooks:
         h.on_finish()
 
@@ -419,6 +494,8 @@ def _run_suffix(
         m = _geo_metrics(net, cfg, receivers)
     else:
         m = collect_metrics(net, agents, cfg.source, cfg.group, receivers)
+    metrics = {f.name: getattr(m, f.name) for f in fields(m)}
+    metrics["transmitters"] = tuple(sorted(m.transmitters))
     result = RunResult(
         protocol=cfg.protocol,
         topology=cfg.topology,
@@ -426,24 +503,10 @@ def _run_suffix(
         seed=cfg.seed,
         backoff_n=cfg.backoff_n,
         backoff_w=cfg.backoff_w,
-        data_transmissions=m.data_transmissions,
-        tree_transmissions=m.tree_transmissions,
-        extra_nodes=m.extra_nodes,
-        average_relay_profit=m.average_relay_profit,
-        delivered=m.delivered,
-        delivery_ratio=m.delivery_ratio,
-        covered_receivers=m.covered_receivers,
-        join_query_tx=m.join_query_tx,
-        join_reply_tx=m.join_reply_tx,
-        hello_tx=m.hello_tx,
-        collisions=m.collisions,
-        energy_joules=m.energy_joules,
-        construction_latency=m.construction_latency,
-        frames_lost=m.frames_lost,
-        transmitters=tuple(sorted(m.transmitters)),
         receivers=tuple(receivers),
-        positions=positions if keep_positions else None,
+        positions=prefix.positions if keep_positions else None,
         traffic=traffic,
+        **metrics,
     )
     net.close()
     return result
@@ -517,37 +580,22 @@ def _traffic_run_metrics(net, agents, cfg: SimulationConfig, plan, members, hori
 
 def _flooding_metrics(net, cfg: SimulationConfig, receivers: Sequence[int]):
     """Flooding has no tree; every transmitter is a 'forwarder'."""
-    from repro.metrics.collect import MulticastMetrics, average_relay_profit, extra_nodes
-
-    trace = net.sim.trace
-    transmitters = trace.nodes_with(TraceKind.TX, "DataPacket")
-    delivered = len(trace.nodes_with(TraceKind.DELIVER) & set(receivers))
-    return MulticastMetrics(
-        data_transmissions=trace.count(TraceKind.TX, "DataPacket"),
-        tree_transmissions=trace.count(TraceKind.TX, "DataPacket"),
-        extra_nodes=extra_nodes(transmitters, cfg.source, receivers),
-        average_relay_profit=average_relay_profit(net, transmitters, receivers),
-        delivered=delivered,
-        delivery_ratio=delivered / len(receivers) if receivers else 1.0,
-        covered_receivers=delivered,
-        join_query_tx=0,
-        join_reply_tx=0,
-        hello_tx=trace.count(TraceKind.TX, "HelloPacket"),
-        collisions=net.channel.frames_collided,
-        energy_joules=net.energy_summary()["total_joules"],
-        frames_lost=net.channel.frames_lost,
-        transmitters=transmitters,
-    )
+    return _treeless_metrics(net, cfg, receivers, "DataPacket")
 
 
 def _geo_metrics(net, cfg: SimulationConfig, receivers: Sequence[int]):
     """GMR metrics: packets are GeoDataPackets, there is no tree state."""
+    return _treeless_metrics(net, cfg, receivers, "GeoDataPacket")
+
+
+def _treeless_metrics(net, cfg: SimulationConfig, receivers: Sequence[int], packet_type: str):
+    """Metrics of a run that keeps no tree: ``packet_type`` frames are the data plane."""
     from repro.metrics.collect import MulticastMetrics, average_relay_profit, extra_nodes
 
     trace = net.sim.trace
-    transmitters = trace.nodes_with(TraceKind.TX, "GeoDataPacket")
+    transmitters = trace.nodes_with(TraceKind.TX, packet_type)
     delivered = len(trace.nodes_with(TraceKind.DELIVER) & set(receivers))
-    tx = trace.count(TraceKind.TX, "GeoDataPacket")
+    tx = trace.count(TraceKind.TX, packet_type)
     return MulticastMetrics(
         data_transmissions=tx,
         tree_transmissions=tx,
@@ -770,12 +818,13 @@ def _plan(
     return tasks + [(False, items[i:i + chunk_size]) for i in range(0, len(items), chunk_size)]
 
 
-def _task_rows(task: _Task):
+def _task_rows(task: _Task, hooks=None):
     """Run one task, yielding ``(index, result, exc)`` per run.
 
     ``exc`` is what a failed run raised (its ``result`` is None).  A
     batch task whose kernel call raises reruns its configs one by one,
-    which pins the failure on its own run.
+    which pins the failure on its own run.  ``hooks`` (a factory) builds
+    each run's hooks here; their reports land on the result.
     """
     batched, items = task
     if batched:
@@ -792,13 +841,16 @@ def _task_rows(task: _Task):
     for idx, cfg, warm in items:
         res = exc = None
         try:
-            res = run_single(cfg, warm_start=warm or None)
+            run_hooks = () if hooks is None else tuple(hooks(cfg))
+            res = run_single(cfg, warm_start=warm or None, hooks=run_hooks)
+            if run_hooks:
+                res = replace(res, reports=tuple(h.run_report() for h in run_hooks))
         except Exception as e:  # noqa: BLE001 - reported per run to the caller
             exc = e
         yield idx, res, exc
 
 
-def _run_task(task: _Task) -> tuple:
+def _run_task(task: _Task, hooks=None) -> tuple:
     """Pool-worker entry point: one task's rows, failures made picklable.
 
     A batch task also ships this worker's batch-kernel counters for the
@@ -812,7 +864,7 @@ def _run_task(task: _Task) -> tuple:
         STATS.reset()
         stats = STATS
     rows = []
-    for idx, res, exc in _task_rows(task):
+    for idx, res, exc in _task_rows(task, hooks):
         if exc is not None:
             exc = (repr(exc), "".join(_traceback.format_exception(exc)))
         rows.append((idx, res, exc))
@@ -828,6 +880,7 @@ def run_many(
     chunk_size: Optional[int] = None,
     on_result: Optional[Callable[[int, RunResult], None]] = None,
     batch: int = 0,
+    hooks: Optional[Callable[[SimulationConfig], Sequence]] = None,
 ) -> List[RunResult]:
     """Run every config on the host's usable CPUs; results in input order.
 
@@ -875,9 +928,20 @@ def run_many(
     inexpressible configs fall back to scalar runs, counted in the
     ``batch_fallback`` obs counter (pool workers' counts are folded into
     this process's).  Callbacks fire in completion order.
+
+    ``hooks`` is a picklable factory, ``hooks(cfg) -> [RunHook, ...]``
+    (a module-level function or a ``functools.partial`` of one).  Each
+    run's hooks are built in the process that executes it, and each
+    hook's :meth:`~repro.sim.hooks.RunHook.run_report` lands on the
+    result's ``reports``, in hook order — so checked and fault-injected
+    campaigns run on the pool too.  Hooks attach to the live kernel, so
+    there is nothing to fork or batch: ``hooks`` with ``warm`` or
+    ``batch`` raises ValueError.
     """
     if on_error not in ("raise", "collect"):
         raise ValueError(f'on_error must be "raise" or "collect", got {on_error!r}')
+    if hooks is not None and (warm or batch):
+        raise ValueError("hooks= attach to the live kernel: there is nothing to fork (warm=) or batch (batch=)")
     cfgs = list(configs)
     total = len(cfgs)
     workers = max(1, resolve_workers(workers, total))
@@ -910,12 +974,12 @@ def run_many(
     if workers == 1 or len(tasks) <= 1:
         with _EXEC_LOCK:
             for task in tasks:
-                for row in _task_rows(task):
+                for row in _task_rows(task, hooks):
                     land(*row)
         return slots  # type: ignore[return-value]
 
     pool = shared_pool(workers)
-    futures = [pool.submit(_run_task, task) for task in tasks]
+    futures = [pool.submit(_run_task, task, hooks) for task in tasks]
     try:
         for fut in as_completed(futures):
             rows, stats = fut.result()
@@ -971,6 +1035,11 @@ def aggregate(results: Sequence[RunResult], metric: str) -> Dict[str, float]:
         "p95": p95,
         "n": int(vals.size),
     }
+
+
+def field_means(results: Sequence, *names: str) -> Dict[str, float]:
+    """``{name: mean of that attribute over results}`` (sweep summaries)."""
+    return {n: float(np.mean([getattr(r, n) for r in results])) for n in names}
 
 
 def aggregate_columnar(

@@ -25,10 +25,10 @@ exits non-zero — see ``.github/workflows/ci.yml``.
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.runner import run_single
+from repro.experiments.runner import run_many, run_single
 from repro.traffic.metrics import SATURATION_THRESHOLD
 from repro.traffic.spec import TrafficPlan, ramp_plan
 
@@ -133,27 +133,30 @@ def flag_off_digest_guard(seed: int = 42) -> Tuple[str, str]:
     return digests[0], digests[1]
 
 
+def _collect_harness(cfg: SimulationConfig) -> list:
+    """``run_many`` hook factory: one ``collect``-mode harness per run."""
+    from repro.check import CheckHarness
+
+    return [CheckHarness(mode="collect")]
+
+
 def traffic_campaign(
-    runs: int = 25, n_sessions: int = 4, base_seed: int = 0
+    runs: int = 25, n_sessions: int = 4, base_seed: int = 0, workers: Optional[int] = None
 ) -> Tuple[int, int]:
     """(violations, delivered receiver-sessions) over a checked soak.
 
     Every run carries ``n_sessions`` concurrent MTMRP flows under a
     harness in ``collect`` mode enforcing the session-scoped invariants
     (deliver-membership, path-profit-sum, feasible forwarding sets).
+    The runs form one :func:`~repro.experiments.runner.run_many` campaign
+    (``workers`` as there).
     """
-    from repro.check import CheckHarness
-
     base = SimulationConfig()
     plan = ramp_plan(base, n_sessions)
-    violations = 0
-    delivered = 0
-    for r in range(runs):
-        cfg = base.with_(seed=base_seed + r, sessions=plan)
-        harness = CheckHarness(mode="collect")
-        res = run_single(cfg, check=harness, cache=False)
-        violations += len(harness.report.violations)
-        delivered += sum(s.delivered for s in res.traffic.sessions)
+    cfgs = [base.with_(seed=base_seed + r, sessions=plan) for r in range(runs)]
+    results = run_many(cfgs, workers=workers, hooks=_collect_harness)
+    violations = sum(len(res.reports[0].violations) for res in results)
+    delivered = sum(s.delivered for res in results for s in res.traffic.sessions)
     return violations, delivered
 
 
@@ -218,7 +221,7 @@ def run_traffic(args) -> None:
             )
             raise SystemExit(1)
         print(f"  flag-off digest guard: ok ({d0[:16]}...)")
-        violations, delivered = traffic_campaign(runs=runs)
+        violations, delivered = traffic_campaign(runs=runs, workers=args.workers)
         print(f"  delivered receiver-sessions: {delivered}")
         if violations:
             print(f"  INVARIANT VIOLATIONS: {violations}", file=sys.stderr)

@@ -30,6 +30,7 @@ from repro.sim.trace import TraceKind, TraceRecorder
 
 __all__ = [
     "FaultMetrics",
+    "fault_log",
     "fault_timeline",
     "deliveries_by_seq",
     "delivery_ratio",
@@ -63,13 +64,18 @@ class FaultMetrics:
     crashes: int
 
 
+def fault_log(trace: TraceRecorder) -> List[Tuple[float, int, str, str]]:
+    """The injector's applied-fault log from its NOTE records:
+    (time, node, kind, cause)."""
+    return [
+        (rec.time, rec.node, *rec.detail)
+        for rec in trace.filter(kind=TraceKind.NOTE, packet_type="Fault")
+    ]
+
+
 def fault_timeline(trace: TraceRecorder) -> List[Tuple[float, int, str]]:
     """Applied faults from the injector's NOTE records: (time, node, kind)."""
-    out = []
-    for rec in trace.filter(kind=TraceKind.NOTE, packet_type="Fault"):
-        kind, _cause = rec.detail
-        out.append((rec.time, rec.node, kind))
-    return out
+    return [(t, n, kind) for t, n, kind, _cause in fault_log(trace)]
 
 
 def deliveries_by_seq(

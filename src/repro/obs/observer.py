@@ -136,7 +136,12 @@ class Observer(RunHook):
         self.finish()
 
     def finish(self) -> "Observer":
-        """Close a run: final sample, final counter refresh, close spans."""
+        """Close a run: final sample, final counter refresh, close spans.
+
+        Then drop every reference to the run (the sampler's callback back
+        into this observer included), so a finished observer holds only
+        what it measured and the run frees itself by reference counting.
+        """
         if self._sim is None:
             raise RuntimeError("Observer.finish() before attach()")
         if self.sampler is not None:
@@ -146,6 +151,10 @@ class Observer(RunHook):
         self._route_state_spans()
         self.spans.close_all(self._sim)
         self.registry.refresh()
+        self._sim = self._net = None
+        self.registry.unbind()
+        if self.sampler is not None:
+            self.sampler.detach()
         return self
 
     def export(self, out_dir) -> dict:

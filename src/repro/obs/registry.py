@@ -145,6 +145,10 @@ class CounterRegistry:
             self._net = net
         return self
 
+    def unbind(self) -> None:
+        """Forget the run; the counters and gauges keep their last values."""
+        self._sim = self._net = self._trace = None
+
     # ------------------------------------------------------------------ #
     # updates
     # ------------------------------------------------------------------ #

@@ -112,6 +112,10 @@ class StreamingSampler:
         self._started = True
         return self
 
+    def detach(self) -> None:
+        """Forget the simulator and the callback; the samples stay."""
+        self._sim = self.on_sample = None
+
     def bind_receivers(self, receivers) -> None:
         """Tell the sampler the multicast group (delivery-ratio maths)."""
         self._receivers = frozenset(int(r) for r in receivers)

@@ -21,8 +21,8 @@ across service processes — never observe a torn file.  Eviction is LRU
 over a bounded entry count, tracked in-process and seeded from file
 mtimes at startup; ``get`` touches the file so recency survives process
 restarts.  Only flat metric results are storeable: runs carrying
-positions or a structured multi-session traffic payload report
-``put(...) == False`` and are recomputed per campaign (in-flight
+positions, a structured multi-session traffic payload or hook reports
+report ``put(...) == False`` and are recomputed per campaign (in-flight
 coalescing still dedupes concurrent identical submissions).
 """
 
@@ -81,7 +81,7 @@ class ResultStore:
     @staticmethod
     def storeable(result: RunResult) -> bool:
         """Flat metric results only — mirrors the runner cache's gate."""
-        return result.traffic is None and result.positions is None
+        return result.traffic is None and result.positions is None and not result.reports
 
     # ------------------------------------------------------------------ #
     # access

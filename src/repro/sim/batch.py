@@ -168,8 +168,12 @@ def batch_eligible(cfg: "SimulationConfig") -> Optional[str]:
     state in ways the closed form does not model.  Multi-session plans
     ride the kernel: sessions only reach the warmup through group
     memberships and identity-keyed receiver draws, both reproduced
-    exactly, while the schedule itself runs in the scalar suffix.
+    exactly, while the schedule itself runs in the scalar suffix.  A
+    config's :class:`~repro.experiments.config.Schedule` does not: its
+    stressors arm before the snapshot boundary.
     """
+    if cfg.schedule is not None:
+        return "schedule"
     if not cfg.hello_phase:
         # the static bootstrap prefix is already nearly free — nothing to
         # amortise, and the scalar path is bit-identical by definition
@@ -832,11 +836,9 @@ def run_batch(
             uid_start = current_uid()
             recorder = TraceRecorder(enabled_kinds=enabled, counters_only=counters_only)
             try:
-                sim, net, receivers, positions, _members = _reconstruct_prefix(
-                    cfg, streams.registry(s), recorder, plan, s
-                )
-                net.channel.direct_finish = True
-                res = _run_suffix(cfg, sim, net, receivers, positions, keep_positions)
+                prefix = _reconstruct_prefix(cfg, streams.registry(s), recorder, plan, s)
+                prefix.net.channel.direct_finish = True
+                res = _run_suffix(cfg, prefix, keep_positions)
                 STATS.record_batched(n_flows)
             except _Inexpressible as exc:
                 reset_uids(uid_start)

@@ -23,11 +23,12 @@ replay tests).
 Validity: a snapshot may be reused by any config whose :func:`prefix_key`
 matches.  Fields that only act after the boundary — ``protocol`` (except
 the geographic bit), ``backoff_n``/``backoff_w``, ``construction_time``,
-``data_time`` — are deliberately excluded from the key; everything the
-prefix consumed (seed, topology, channel, loss model, HELLO timing) is
-included.  Runs with hooks (a :class:`repro.check.CheckHarness`, an
-observer) never use snapshots: hooks attach to the live kernel before
-network construction.
+``data_time``, ``schedule`` — are deliberately excluded from the key;
+everything the prefix consumed (seed, topology, channel, loss model,
+HELLO timing) is included.  Runs with hooks (a
+:class:`repro.check.CheckHarness`, an observer) never use snapshots:
+hooks attach to the live kernel before network construction.  Nor do
+scheduled runs, whose stressors arm as the HELLO warmup begins.
 
 Cost model: a fork is one ``pickle.loads`` (a few ms for the paper's
 deployments) while a cold prefix costs up to hundreds of ms with a HELLO

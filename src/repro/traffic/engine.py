@@ -4,10 +4,10 @@ The engine is deliberately small — the protocol layer already keeps one
 :class:`~repro.protocols.base.SessionState` per ``(source, group)``, so
 carrying many sessions is a matter of installing every group's receivers
 before the snapshot boundary and driving each session's route-discovery
-and CBR data phases on the shared event heap.  Both the plain runner
-(:func:`repro.experiments.runner.run_single`) and the checked fuzz path
-(:func:`repro.check.fuzz.run_scenario`) call into these helpers, so the
-two stacks cannot drift apart.
+and CBR data phases on the shared event heap.  The runner's one run
+schedule (``repro.experiments.runner._run_suffix``) calls into these
+helpers for every multi-session run, the fuzzer's checked scenarios
+(:func:`repro.check.fuzz.run_scenario`) included.
 """
 
 from __future__ import annotations

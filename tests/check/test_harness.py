@@ -157,3 +157,23 @@ class TestRouteErrorCheckpoint:
         )
         n_checkpoints = harness.report.checkpoints.count("route-error")
         assert 1 <= n_checkpoints <= n_err_tx
+
+
+class TestViolationPickling:
+    """Checked runs' reports cross the process-pool boundary."""
+
+    def test_round_trip_keeps_every_field(self):
+        import pickle
+
+        from repro.check.violations import Finding
+
+        cfg = SimulationConfig(seed=5)
+        v = InvariantViolation(
+            Finding("seq-monotone", "seq went backwards", time=1.25, node=7),
+            seed=5, checkpoint="end-of-run", context=cfg,
+        )
+        w = pickle.loads(pickle.dumps(v))
+        assert (w.invariant, w.time, w.node, w.seed, w.checkpoint, w.context) == (
+            "seq-monotone", 1.25, 7, 5, "end-of-run", cfg,
+        )
+        assert str(w) == str(v)

@@ -15,8 +15,9 @@ import pytest
 from repro.analysis.stats import mean_ci
 from repro.core.backoff import BackoffParams, BiasedBackoff
 from repro.core.mtmrp import MtmrpAgent
-from repro.experiments import SimulationConfig, monte_carlo, run_single
-from repro.experiments.faults import run_fault_single
+from repro.experiments import SimulationConfig, monte_carlo, run_many, run_single
+from repro.experiments.config import Schedule
+from repro.experiments.faults import fault_hooks
 from repro.mac.csma import CsmaMac
 from repro.mac.ideal import IdealMac
 from repro.net.mobility import RandomWaypointMobility
@@ -133,12 +134,13 @@ _MISSES_AT_20_RUNS = pytest.mark.xfail(
 @pytest.fixture(scope="module")
 def crash_runs():
     base = SimulationConfig(protocol="mtmrp", topology="grid", group_size=20, mac="ideal")
-    kw = dict(n_packets=20, rate_pps=10.0, refresh_interval=REFRESH, crash_forwarder_at=0.55)
-    cfgs = monte_carlo(base, RUNS, batch_seed=4242)
-    return (
-        [run_fault_single(cfg, **kw) for cfg in cfgs],
-        [run_fault_single(cfg.with_(loss_model="iid", loss_rate=0.1), **kw) for cfg in cfgs],
+    schedule = Schedule(
+        n_packets=20, rate_pps=10.0, refresh_interval=REFRESH, crash_forwarder_at=0.55
     )
+    cfgs = [cfg.with_(schedule=schedule) for cfg in monte_carlo(base, RUNS, batch_seed=4242)]
+    lossy = [cfg.with_(loss_model="iid", loss_rate=0.1) for cfg in cfgs]
+    results = [res.reports[0] for res in run_many(cfgs + lossy, hooks=fault_hooks)]
+    return results[:RUNS], results[RUNS:]
 
 
 def test_crash_kills_a_forwarder_without_partition(crash_runs):

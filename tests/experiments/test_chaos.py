@@ -144,3 +144,27 @@ class TestSweep:
             assert 0.0 <= v["delivery_ratio"] <= 1.0
             assert v["violations"] == 0.0
         assert out["mtmrp"]["off"]["repair_effective"] == 0.0
+
+
+class TestSoakCampaign:
+    def test_soak_counts_failing_runs_not_violations(self, monkeypatch, capsys, usable_cpus):
+        """One run of three with two violations leaves 2/3 runs clean."""
+        from repro.check.harness import CheckHarness
+        from repro.check.violations import Finding, InvariantViolation
+        from repro.experiments.chaos import _soak_campaign
+
+        usable_cpus(1)  # in this process, where the patch applies
+        original = CheckHarness.on_finish
+
+        def on_finish(self):
+            original(self)
+            if self.seed == 90211:
+                for k in range(2):
+                    finding = Finding("seq-monotone", f"injected {k}")
+                    self.report.violations.append(InvariantViolation(finding, seed=self.seed))
+
+        monkeypatch.setattr(CheckHarness, "on_finish", on_finish)
+        failures = _soak_campaign(3, 90210)
+        out = capsys.readouterr().out
+        assert "2/3 runs violation-free" in out
+        assert failures == 1

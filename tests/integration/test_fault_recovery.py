@@ -117,19 +117,16 @@ def test_gilbert_elliott_config_wires_through():
         _cfg(loss_model="iid", loss_rate=1.5)
 
 
-def test_hello_phase_config_runs_the_hello_warmup(monkeypatch):
-    """run_fault_single builds through build_prefix, so hello_phase=True
+def test_hello_phase_config_runs_the_hello_warmup():
+    """A fault run builds through build_prefix, so hello_phase=True
     beacons before route discovery."""
-    import repro.experiments.faults as faults_mod
+    from repro.experiments.config import Schedule
+    from repro.experiments.runner import run_single
     from repro.sim.trace import TraceKind, TraceRecorder
 
-    recorders = []
-
-    class Recording(TraceRecorder):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            recorders.append(self)
-
-    monkeypatch.setattr(faults_mod, "TraceRecorder", Recording)
-    run_fault_single(_cfg(hello_phase=True, hello_warmup=2.5), **KW)
-    assert recorders[0].count(TraceKind.TX, "HelloPacket") > 0
+    tr = TraceRecorder()
+    cfg = _cfg(hello_phase=True, hello_warmup=2.5)
+    run_single(cfg.with_(schedule=Schedule(**KW)), trace=tr)
+    first_query = next(tr.filter(TraceKind.TX, "JoinQuery")).time
+    assert tr.count(TraceKind.TX, "HelloPacket") > 0
+    assert next(tr.filter(TraceKind.TX, "HelloPacket")).time < first_query

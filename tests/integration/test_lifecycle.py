@@ -11,7 +11,8 @@ Each case runs its path once to warm up (first-use imports, caches and
 snapshot captures), then again with the collector paused, and counts
 what a full collection finds.  The drivers with periodic refresh and
 route monitors are here on purpose: their timers form agent ↔ event
-cycles that only the close's event cancellation breaks.
+cycles that only the close's event cancellation breaks.  So is an
+observed run: a finished observer drops its references to the run.
 """
 
 import gc
@@ -74,6 +75,13 @@ def _run_many_in_process():
     return lambda: run_many(cfgs, workers=1)
 
 
+def _observed():
+    from repro.obs import Observer
+
+    cfg = SimulationConfig(seed=3, group_size=10)
+    return lambda: run_single(cfg, cache=False, hooks=[Observer()])
+
+
 def _fault_driver():
     from repro.experiments.faults import run_fault_single
 
@@ -115,6 +123,7 @@ PATHS = {
     "flooding": _flooding,
     "gmr": _gmr,
     "run-many-in-process": _run_many_in_process,
+    "observed": _observed,
     "faults-driver": _fault_driver,
     "chaos-driver": _chaos_driver,
     "cbr-driver": _cbr_driver,

@@ -28,7 +28,7 @@ def _digest_with_obs(protocol, topology, seed, **obs_kwargs):
         SimulationConfig(protocol, topology, group_size=12, seed=seed),
         trace=tr,
         cache=False,
-        obs=obs,
+        hooks=[obs],
     )
     return trace_digest(tr), result, obs
 
@@ -46,7 +46,7 @@ def test_observed_run_result_identical():
     reset_uids()
     plain = run_single(cfg, cache=False)
     reset_uids()
-    observed = run_single(cfg, cache=False, obs=Observer())
+    observed = run_single(cfg, cache=False, hooks=[Observer()])
     assert plain == observed
 
 
@@ -66,7 +66,7 @@ def test_observed_run_installs_no_trace_watchers():
     tr = TraceRecorder()
     run_single(
         SimulationConfig("mtmrp", "grid", group_size=12, seed=42),
-        trace=tr, cache=False, obs=Observer(),
+        trace=tr, cache=False, hooks=[Observer()],
     )
     assert tr._watchers == []
 
@@ -79,7 +79,7 @@ def test_sampler_off_schedules_no_events():
     reset_uids()
     tr2 = TraceRecorder()
     obs = Observer(sample=False)
-    run_single(cfg, trace=tr2, cache=False, obs=obs)
+    run_single(cfg, trace=tr2, cache=False, hooks=[obs])
     assert obs.sampler is None and obs.samples == []
     # counters and spans still work without the sampler
     assert obs.registry.counters["tx"] > 0
@@ -107,7 +107,7 @@ def test_hello_warmup_span_present_when_hello_phase():
         hello_phase=True, hello_warmup=3.0,
     )
     obs = Observer()
-    run_single(cfg, cache=False, obs=obs)
+    run_single(cfg, cache=False, hooks=[obs])
     names = [sp.name for sp in obs.spans.spans]
     assert names[:2] == ["prefix-build", "hello-warmup"]
     warmup = obs.spans.spans[1]
@@ -171,7 +171,7 @@ def test_on_sample_callback_receives_windows():
     obs = Observer(window=0.5, on_sample=seen.append)
     run_single(
         SimulationConfig("mtmrp", "grid", group_size=12, seed=42),
-        cache=False, obs=obs,
+        cache=False, hooks=[obs],
     )
     assert seen == obs.samples and len(seen) > 0
 
@@ -206,7 +206,7 @@ def test_observed_runs_never_cached(tmp_path):
     run_single(cfg, cache=tmp_path)  # populate the cache
     reset_uids()
     obs = Observer()
-    run_single(cfg, cache=tmp_path, obs=obs)
+    run_single(cfg, cache=tmp_path, hooks=[obs])
     assert len(obs.samples) > 0  # really ran
 
 
@@ -220,7 +220,7 @@ def test_observed_runs_skip_warm_start():
     plain = run_single(cfg, cache=False)
     reset_uids()
     obs = Observer()
-    observed = run_single(cfg, cache=False, obs=obs, warm_start=True)
+    observed = run_single(cfg, cache=False, hooks=[obs], warm_start=True)
     assert plain == observed
     # the hello-warmup span proves the prefix was built cold, not forked
     assert "hello-warmup" in [sp.name for sp in obs.spans.spans]

@@ -31,7 +31,7 @@ MAX_OVERHEAD = 1.10
 
 def _run(obs=None, trace=None):
     reset_uids()
-    return run_single(ROUND_CFG, cache=False, obs=obs, trace=trace)
+    return run_single(ROUND_CFG, cache=False, hooks=[obs] if obs else (), trace=trace)
 
 
 def test_observed_trace_sha256_byte_identical():

@@ -133,7 +133,7 @@ def test_sampler_tracks_union_of_session_receivers():
         ),
     )
     obs = Observer()
-    result = run_single(cfg, cache=False, obs=obs)
+    result = run_single(cfg, cache=False, hooks=[obs])
     assert result.traffic.aggregate_delivery_ratio == 1.0
     final = obs.sampler.samples[-1]
     assert final.delivery_ratio == 1.0
