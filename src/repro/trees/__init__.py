@@ -29,7 +29,6 @@ from repro.trees.validate import (
     transmitters_of_tree,
     tree_transmission_count,
 )
-from repro.trees.exact import ExactSolverError, exact_min_transmitters
 from repro.trees.spt import shortest_path_tree
 from repro.trees.steiner import kmb_steiner_tree
 from repro.trees.mintx import (
@@ -51,3 +50,13 @@ __all__ = [
     "tree_join_tree",
     "greedy_cover_transmitters",
 ]
+
+
+def __getattr__(name: str):
+    # the exact solver pulls in scipy's MILP (~0.5 s); import it on first
+    # use, so the feasibility checks every checked run makes stay cheap
+    if name in ("exact_min_transmitters", "ExactSolverError"):
+        from repro.trees import exact
+
+        return getattr(exact, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

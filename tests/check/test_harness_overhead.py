@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 
-import repro.trees.validate  # noqa: F401 -- warm the scipy-heavy lazy import
+import repro.trees.validate  # noqa: F401 -- warm the harness's lazy feasibility-check import
 from repro.check import CheckHarness
 from repro.experiments import SimulationConfig, run_single
 from repro.net.packet import reset_uids
