@@ -222,10 +222,7 @@ def chaos_hooks(cfg: SimulationConfig, window: float = 2.5, check: bool = False)
     when ``check`` (GMR keeps no sessions to check)."""
     from repro.check.harness import CheckHarness
 
-    harness = None
-    if check and cfg.protocol != "gmr":
-        harness = CheckHarness(mode="collect")
-        harness.context = f"chaos seed={cfg.seed} repair={cfg.schedule.repair is not None}"
+    harness = CheckHarness(mode="collect") if check and cfg.protocol != "gmr" else None
     return [h for h in (harness, ChaosMeter(window, harness)) if h is not None]
 
 

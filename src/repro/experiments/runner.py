@@ -332,14 +332,14 @@ def _execute_run(
     A scheduled run starts its packet uids at 0, so nothing that ran
     before it in this process reaches its trace.
     """
-    arming = None
+    prefix_hooks = hooks
     if cfg.schedule is not None:
         from repro.net.packet import reset_uids
 
         reset_uids()
-        arming = _ArmAtWarmup(cfg.schedule)
-    p = build_prefix(cfg, trace=trace, hooks=hooks if arming is None else (*hooks, arming))
-    return _run_suffix(cfg, p, keep_positions, hooks=hooks, injector=getattr(arming, "injector", None))
+        prefix_hooks = (*hooks, _ArmAtWarmup(cfg.schedule))
+    p = build_prefix(cfg, trace=trace, hooks=prefix_hooks)
+    return _run_suffix(cfg, p, keep_positions, hooks=hooks)
 
 
 #: forwarder soft state outlives one refresh period and expires soon
@@ -350,7 +350,7 @@ FG_TIMEOUT_FACTOR = 2.5
 MONITOR_INTERVAL = 1.0
 
 
-def _arm(schedule, net):
+def _arm(schedule, net) -> None:
     """Start the schedule's mobility; arm its fault events and energy budget."""
     from repro.faults import FaultInjector, FaultPlan
 
@@ -358,23 +358,20 @@ def _arm(schedule, net):
         from repro.net.mobility import RandomWaypointMobility
 
         RandomWaypointMobility(net, **dict(schedule.mobility)).start()
-    plan = FaultPlan(schedule.faults)
-    return FaultInjector(net, plan=plan, energy_budget=schedule.energy_budget).arm()
+    FaultInjector(net, plan=FaultPlan(schedule.faults), energy_budget=schedule.energy_budget).arm()
 
 
 class _ArmAtWarmup(RunHook):
     """Arms a schedule's stressors as the HELLO warmup begins: their times
     are absolute, and the warmup advances the clock past early faults.
-    On a static bootstrap :func:`_run_suffix` arms them at bind."""
-
-    injector = None
+    Without a HELLO phase :func:`_run_suffix` arms them at bind."""
 
     def __init__(self, schedule) -> None:
         self.schedule = schedule
 
     def on_phase_begin(self, name: str, sim, net, **meta) -> None:
         if name == "hello-warmup":
-            self.injector = _arm(self.schedule, net)
+            _arm(self.schedule, net)
 
 
 def _run_suffix(
@@ -382,7 +379,6 @@ def _run_suffix(
     prefix: ForkedPrefix,
     keep_positions: bool = False,
     hooks: Sequence = (),
-    injector=None,
 ) -> RunResult:
     """Run everything after the snapshot boundary: the one run schedule.
 
@@ -392,9 +388,8 @@ def _run_suffix(
     the paper's round follows: one data packet, run to ``t0 + settle +
     data_time``.  Under a :class:`~repro.experiments.config.Schedule` the
     source streams packet ``k`` at ``t_data + k / rate`` from the end of
-    discovery amid refresh, route monitors, repair and faults
-    (``injector`` holds those armed during the HELLO warmup), and the run
-    drains ``(refresh or 0) + 1`` s past the stream.  Hooks see both
+    discovery amid refresh, route monitors, repair and faults, and the
+    run drains ``(refresh or 0) + 1`` s past the stream.  Hooks see both
     phases and ``on_finish``; the network is closed once the result is
     built, so reference counting frees the deployment.
     """
@@ -421,8 +416,8 @@ def _run_suffix(
     refreshing = refresh is not None and on_demand
     flows = prefix.members if plan is not None else {(cfg.source, cfg.group): receivers}
     if schedule is not None:
-        if injector is None:  # static bootstrap: arm at bind
-            injector = _arm(schedule, net)
+        if not cfg.hello_phase:  # static bootstrap: arm at bind
+            _arm(schedule, net)
         for a in agents if on_demand else ():
             if refresh is not None:
                 a.fg_timeout = FG_TIMEOUT_FACTOR * refresh
@@ -450,17 +445,21 @@ def _run_suffix(
                     agents[r].start_route_monitor(source, group, interval=MONITOR_INTERVAL)
     n, interval = (1, 0.0) if schedule is None else (schedule.n_packets, 1.0 / schedule.rate_pps)
     if schedule is not None and schedule.crash_forwarder_at is not None:
-        injector.schedule_forwarder_crash(
+        from repro.faults import FaultInjector
+
+        FaultInjector(net).schedule_forwarder_crash(
             t_data + schedule.crash_forwarder_at, agents, source=cfg.source, group=cfg.group
         )
     if schedule is not None and schedule.churn is not None:
         from repro.experiments.chaos import build_churn_plan
+        from repro.faults import FaultInjector
 
         n_cycles, down_time = schedule.churn
         # churn fires strictly inside the stream so every crash competes
         # with live traffic; the margin keeps the tail packets measurable
         window = (t_data + 2 * interval, t_data + n * interval - down_time)
-        injector.add(build_churn_plan(cfg, net.positions, receivers, window, n_cycles, down_time))
+        churn = build_churn_plan(cfg, net.positions, receivers, window, n_cycles, down_time)
+        FaultInjector(net, plan=churn).arm()
     if plan is None:
         if on_demand:
             send = partial(source_agent.send_data, cfg.group)

@@ -71,7 +71,8 @@ class FaultInjector:
         if self._armed:
             raise RuntimeError("FaultInjector.arm() called twice")
         self._armed = True
-        self.add(self.plan)
+        for ev in self.plan.events:
+            self.sim.schedule_at(ev.time, self._apply, ev, "plan")
         if self.energy_budget is not None:
             budget = float(self.energy_budget)
             for node in self.net.nodes:
@@ -83,12 +84,6 @@ class FaultInjector:
                         FaultEvent(self.sim.now, node.node_id, FaultKind.CRASH), "energy"
                     )
         return self
-
-    def add(self, plan: FaultPlan) -> None:
-        """Schedule ``plan``'s events too (e.g. churn drawn mid-run)."""
-        plan.validate(len(self.net))
-        for ev in plan.events:
-            self.sim.schedule_at(ev.time, self._apply, ev, "plan")
 
     def _make_depletion_hook(self, node_id: int):
         def hook(_account) -> None:
