@@ -1,10 +1,12 @@
 """Unit tests for named random streams."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import RngRegistry, _key_to_int
 
 
 def test_same_key_returns_same_generator():
@@ -62,6 +64,64 @@ def test_stream_stability_property(seed, name):
     a = RngRegistry(seed).stream(name).random()
     b = RngRegistry(seed).stream(name).random()
     assert a == b
+
+
+# --------------------------------------------------------------------- #
+# the stream definition, pinned to numpy's SeedSequence
+# --------------------------------------------------------------------- #
+_SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 3]),
+    st.integers(min_value=0, max_value=2**140),
+)
+_NAMES = st.one_of(
+    st.sampled_from(["hello", "mac", "proto", "topology", "receivers"]),
+    st.text(min_size=1, max_size=8),
+)
+#: stream indices on both sides of 64-key block boundaries
+_INDICES = st.one_of(
+    st.sampled_from([0, 1, 62, 63, 64, 65, 127, 128, 199]),
+    st.integers(min_value=0, max_value=5_000),
+)
+_KEYS = st.one_of(
+    st.tuples(_NAMES),
+    st.tuples(_NAMES, _INDICES),
+    st.tuples(_NAMES, _INDICES, _INDICES),
+)
+
+
+def _numpy_stream_state(seed, key):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_key_to_int(key),))
+    return np.random.PCG64(ss).state
+
+
+@given(_SEEDS, st.lists(_KEYS, min_size=1, max_size=8))
+def test_stream_is_numpy_pcg64_of_seed_and_key(seed, keys):
+    """Property: a stream starts in the state numpy's own SeedSequence
+    derivation gives its (master seed, key) pair, whatever other streams
+    the registry created first."""
+    reg = RngRegistry(seed)
+    for key in keys:
+        assert reg.stream(*key).bit_generator.state == _numpy_stream_state(seed, key)
+
+
+@given(_SEEDS, st.text(min_size=1, max_size=8), _INDICES)
+def test_numpy_integer_index_keeps_its_own_stream(seed, name, index):
+    """A numpy integer's repr differs from a Python int's, and so does the
+    stream it names.  The names are kept apart from the other tests' so
+    no equal Python-int key of the same seed exists in the process."""
+    key = ("np-" + name, np.int64(index))
+    state = RngRegistry(seed).stream(*key).bit_generator.state
+    assert state == _numpy_stream_state(seed, key)
+
+
+@given(_SEEDS, _KEYS, st.integers(min_value=0, max_value=5))
+def test_stream_survives_pickle_round_trip(seed, key, n_before):
+    """Property: a pickled stream resumes exactly where the original is."""
+    gen = RngRegistry(seed).stream(*key)
+    gen.uniform(size=n_before)
+    clone = pickle.loads(pickle.dumps(gen))
+    assert clone.bit_generator.state == gen.bit_generator.state
+    assert np.array_equal(clone.uniform(size=6), gen.uniform(size=6))
 
 
 def test_recycled_generator_is_rewound():
