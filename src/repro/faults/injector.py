@@ -19,7 +19,7 @@ Beyond static plans it supports two runtime modes:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -174,28 +174,3 @@ class FaultInjector:
     def first_crash_time(self) -> Optional[float]:
         times = self.crash_times()
         return times[0][0] if times else None
-
-    def recover_times(self) -> List[Tuple[float, int]]:
-        """Applied recoveries as (time, node), in application order."""
-        return [
-            (t, n) for t, n, kind, _cause in self.log
-            if kind == FaultKind.RECOVER.value
-        ]
-
-    def downtime(self, until: float) -> Dict[int, float]:
-        """Seconds each node spent crashed, up to simulated time ``until``.
-
-        Pairs each crash with the node's next recovery in the log; a node
-        still down at ``until`` accrues the open tail.  Sleep windows are
-        not counted — a sleeping node is off the air but not failed.
-        """
-        down_since: Dict[int, float] = {}
-        totals: Dict[int, float] = {}
-        for t, n, kind, _cause in self.log:
-            if kind == FaultKind.CRASH.value:
-                down_since.setdefault(n, t)
-            elif kind == FaultKind.RECOVER.value and n in down_since:
-                totals[n] = totals.get(n, 0.0) + (t - down_since.pop(n))
-        for n, t in down_since.items():
-            totals[n] = totals.get(n, 0.0) + max(0.0, until - t)
-        return totals

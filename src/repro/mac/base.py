@@ -28,6 +28,14 @@ __all__ = ["Mac"]
 class Mac:
     """Base MAC: queueing and wiring; access policy left to subclasses."""
 
+    #: does this class override :meth:`on_frame`?  Resolved once per
+    #: class, so a node skips the base no-op call on every received frame
+    inspects_frames = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.inspects_frames = cls.on_frame is not Mac.on_frame
+
     def __init__(self, max_queue: int = 256) -> None:
         self.node: Optional["Node"] = None
         self.channel: Optional["Channel"] = None

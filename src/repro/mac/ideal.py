@@ -21,11 +21,13 @@ class IdealMac(Mac):
         super().__init__(max_queue=max_queue)
         self.access_delay = access_delay
 
+    # Neither timer is ever cancelled, so both go on the heap without an
+    # Event handle (same seq, same order as ``schedule``).
     def _access(self) -> None:
         assert self.sim is not None
-        self.sim.schedule(self.access_delay, self._fire)
+        self.sim.schedule_fire(self.access_delay, self._fire)
 
     def _fire(self) -> None:
         airtime = self._transmit_current()
         assert self.sim is not None
-        self.sim.schedule(airtime, self._finish_head)
+        self.sim.schedule_fire(airtime, self._finish_head)

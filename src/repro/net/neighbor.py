@@ -20,7 +20,7 @@ JoinQuery round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Set, Tuple
 
 from repro.net.agent import Agent
 from repro.net.packet import HelloPacket, Packet
@@ -36,7 +36,8 @@ class NeighborEntry:
 
     node_id: int
     last_seen: float = 0.0
-    groups: Set[int] = field(default_factory=set)
+    #: immutable, so entries can share a HELLO's frozenset
+    groups: FrozenSet[int] = frozenset()
     covered_sessions: Set[Session] = field(default_factory=set)
     forwarder_sessions: Set[Session] = field(default_factory=set)
     #: neighbor coordinates, when HELLOs carry positions (geographic mode)
@@ -65,7 +66,8 @@ class NeighborTable:
             entry = NeighborEntry(node_id=nbr)
             self._entries[nbr] = entry
         entry.last_seen = now
-        entry.groups = set(groups)
+        # frozenset() of a HELLO's frozenset is that same object: no copy
+        entry.groups = frozenset(groups)
         if position is not None:
             entry.position = (float(position[0]), float(position[1]))
         return entry
@@ -206,10 +208,16 @@ class HelloAgent(Agent):
         #: include our coordinates in HELLOs (geographic-multicast mode)
         self.share_position = share_position
         self.hellos_sent = 0
+        self._rng_gen = None
+
+    def _rng(self):
+        gen = self._rng_gen
+        if gen is None:
+            gen = self._rng_gen = self.sim.rng.stream("hello", self.node.node_id)
+        return gen
 
     def start(self) -> None:
-        rng = self.sim.rng.stream("hello", self.node.node_id)
-        self.sim.schedule_fire(float(rng.uniform(0.0, self.jitter)), self._tick)
+        self.sim.schedule_fire(float(self._rng().uniform(0.0, self.jitter)), self._tick)
 
     def _tick(self) -> None:
         # A dead or sleeping node beacons nothing, but the timer keeps
@@ -217,8 +225,7 @@ class HelloAgent(Agent):
         if self.node.is_active:
             self.broadcast_hello()
             self.node.neighbor_table.purge(self.sim.now, self.expiry)
-        rng = self.sim.rng.stream("hello", self.node.node_id)
-        delay = self.period + float(rng.uniform(-self.jitter, self.jitter))
+        delay = self.period + float(self._rng().uniform(-self.jitter, self.jitter))
         self.sim.schedule_fire(max(delay, 1e-6), self._tick)
 
     def broadcast_hello(self) -> None:

@@ -203,10 +203,6 @@ class Network:
     def positions_of(self, ids: Sequence[int]) -> np.ndarray:
         return self.positions[list(ids)]
 
-    def alive_ids(self) -> List[int]:
-        """Ids of nodes that have not crashed (sleepers count as alive)."""
-        return [n.node_id for n in self.nodes if n.alive]
-
     def energy_summary(self) -> Dict[str, float]:
         """Aggregate energy use across the deployment (joules)."""
         tx = sum(n.energy.tx_joules for n in self.nodes)

@@ -111,7 +111,7 @@ class Node:
         if not self.alive or self.asleep:
             return
         mac = self.mac
-        if mac is not None and mac.on_frame(packet):
+        if mac is not None and mac.inspects_frames and mac.on_frame(packet):
             return
         cls = packet.__class__
         handlers = self._dispatch_cache.get(cls)

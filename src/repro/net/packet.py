@@ -160,8 +160,8 @@ class HelloPacket(Packet):
     n_fields: ClassVar[int] = 4
 
     def size_bits(self) -> int:
-        pos_bits = 2 * FIELD_BITS if self.position is not None else 0
-        return super().size_bits() + FIELD_BITS * len(self.groups) + pos_bits
+        bits = self._class_size_bits + FIELD_BITS * len(self.groups)
+        return bits if self.position is None else bits + 2 * FIELD_BITS
 
 
 @dataclass

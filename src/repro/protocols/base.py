@@ -189,11 +189,6 @@ class OnDemandMulticastAgent(Agent):
     def state_of(self, source: int, group: int) -> Optional[SessionState]:
         return self.sessions.get((source, group))
 
-    @property
-    def is_forwarder_any(self) -> bool:
-        """Is this node a forwarder of any current session?"""
-        return any(st.is_forwarder for st in self.sessions.values())
-
     # ------------------------------------------------------------------ #
     # source API
     # ------------------------------------------------------------------ #
@@ -611,30 +606,6 @@ class OnDemandMulticastAgent(Agent):
             "RouteState",
             (new.value, key[0], key[1], reason),
         )
-
-    def repair_report(self) -> Dict[str, float]:
-        """Aggregate repair bookkeeping across sessions (reporting helper)."""
-        out = {
-            "episodes": 0,
-            "grafts_ok": 0,
-            "grafts_failed": 0,
-            "time_repairing": 0.0,
-            "time_degraded": 0.0,
-        }
-        now = self.sim.now
-        for rs in self._repair.values():
-            out["episodes"] += rs.episodes
-            out["grafts_ok"] += rs.grafts_ok
-            out["grafts_failed"] += rs.grafts_failed
-            tail = {rs.state.value: now - rs.since}
-            for state, field_name in (
-                (RouteState.REPAIRING, "time_repairing"),
-                (RouteState.DEGRADED, "time_degraded"),
-            ):
-                out[field_name] += rs.time_in.get(state.value, 0.0) + tail.get(
-                    state.value, 0.0
-                )
-        return out
 
     # -- receiver side: graft machine ---------------------------------- #
     def _start_repair(self, source: int, group: int, failed_node: int) -> None:

@@ -104,10 +104,6 @@ class MaodvAgent(OnDemandMulticastAgent):
         """Active downstream tree links."""
         return set(self.tree_children.get((source, group), set()))
 
-    def is_tree_member(self, source: int, group: int) -> bool:
-        st = self.state_of(source, group)
-        return st is not None and (st.is_forwarder or st.covered)
-
     def prune_child(self, source: int, group: int, child: int) -> None:
         """Drop a broken downstream link (MAODV prune)."""
         self.tree_children.get((source, group), set()).discard(child)

@@ -21,8 +21,8 @@ Bit-exactness contract (why this is safe, not just close):
 
 * numpy block draws are bitwise identical to the same number of scalar
   draws and leave the generator in the identical state; speculative
-  over-draws are reconciled by rewinding the bit-generator state and
-  redrawing the exact count (:meth:`_BlockDraw.commit`).
+  over-draws are reconciled by stepping the bit generator back to the
+  exact count (:meth:`_BlockDraw.commit`).
 * ``np.cumsum`` performs the same left-to-right float fold the scalar
   tick chain performs (``t += period + u``).
 * packet uids are assigned in global tick-time order; TX records are
@@ -251,8 +251,8 @@ class _HelloPlan:
         n_exec = np.sum(ticks <= warmup, axis=2)
         if np.any(n_exec > depth):  # pragma: no cover - defensive margin
             raise _Inexpressible("tick-depth-exceeded")
-        # one scalar kernel draw per executed tick — rewind and redraw
-        # exactly that many so the streams land on the scalar state
+        # one scalar kernel draw per executed tick — step each stream
+        # back to exactly that many so it lands on the scalar state
         for i, block in enumerate(blocks):
             block.commit(n_exec[:, i])
 
@@ -327,17 +327,11 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
 
     # ---- global uid order (= global tick-time order) ----------------- #
     total_exec = int(n_exec.sum())
-    all_t = np.empty(total_exec, dtype=np.float64)
-    all_node = np.empty(total_exec, dtype=np.int64)
-    pos = 0
-    offsets = np.empty(n_nodes + 1, dtype=np.int64)
-    for i in range(n_nodes):
-        m = int(n_exec[i])
-        offsets[i] = pos
-        all_t[pos : pos + m] = ticks[i, :m]
-        all_node[pos : pos + m] = i
-        pos += m
-    offsets[n_nodes] = pos
+    # every executed tick, node by node
+    all_t = ticks[np.arange(ticks.shape[1]) < n_exec[:, None]]
+    all_node = np.repeat(np.arange(n_nodes), n_exec)
+    offsets = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(n_exec, out=offsets[1:])
     order = np.argsort(all_t, kind="stable")
     sorted_t = all_t[order]
     if total_exec > 1 and np.any(sorted_t[1:] == sorted_t[:-1]):
@@ -350,10 +344,7 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
     # ---- TX records (fire order = tick order) ------------------------ #
     all_fire = all_t + _ACCESS_DELAY
     fired_mask = all_fire <= warmup
-    n_fired_per_node = np.empty(n_nodes, dtype=np.int64)
-    for i in range(n_nodes):
-        a, b = offsets[i], offsets[i + 1]
-        n_fired_per_node[i] = int(np.count_nonzero(fired_mask[a:b]))
+    n_fired_per_node = np.bincount(all_node[fired_mask], minlength=n_nodes)
     n_tx = int(fired_mask.sum())
     enabled = recorder._enabled
     store_tx = not recorder.counters_only and (
@@ -368,83 +359,64 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
     if n_tx:
         recorder.counts[(TraceKind.TX, "HelloPacket")] += n_tx
 
-    # ---- per-frame i.i.d. loss fates: one pre-sampled block ----------- #
-    # The scalar channel draws deg(sender) uniforms per fired frame at
-    # fire time (IidLoss.frame_lost_batch over the whole delivery list);
-    # fire order equals global tick order, so the warmup's draws are one
-    # contiguous block in fire-rank order, chunked per frame exactly as
-    # the scalar stream consumes them.  p <= 0 and p >= 1 short-circuit
-    # draw-free in the scalar model, so nothing is sampled here either.
+    # ---- receptions: one flat, frame-major layout -------------------- #
+    # Every reception of a fired frame, frames in fire (= uid) order, each
+    # followed by its sender's neighbor list.  That is the order the
+    # scalar channel draws i.i.d. loss fates in: deg(sender) uniforms per
+    # fired frame at fire time (IidLoss.frame_lost_batch over the whole
+    # delivery list), so the warmup's draws are one contiguous block, one
+    # per element.  p <= 0 and p >= 1 short-circuit draw-free in the
+    # scalar model, so nothing is sampled there either.  It is also
+    # nearly finish order, which keeps the rx-energy fold's sort cheap.
     neighbor_ids = ch._neighbor_ids
     nbr_delays = ch._nbr_delays
     deg_all = np.array([ids.size for ids in neighbor_ids], dtype=np.int64)
+    # each node's slice of the concatenated neighbor lists: a reception's
+    # slot there names its (sender, neighbor) pair
+    nbr_off = np.cumsum(deg_all) - deg_all
     loss = ch.loss
     p_loss = float(loss.p) if loss is not None else 0.0
     has_draws = loss is not None and 0.0 < p_loss < 1.0
     all_lost = loss is not None and p_loss >= 1.0
-    u_all = draw_start = None
-    if has_draws and n_tx:
-        deg_fire = deg_all[all_node[order[:n_tx]]]
-        draw_start = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(deg_fire))
-        )
-        u_all = loss.rng.random(int(draw_start[-1]))
+    snd = all_node[order[:n_tx]]  # fired frames' senders, in fire order
+    fire_q = all_fire[order[:n_tx]]
+    deg_q = deg_all[snd]
+    frame_start = np.cumsum(deg_q) - deg_q
+    total = int(deg_q.sum())
+    u_all = loss.rng.random(total) if has_draws and n_tx else None
 
-    # ---- receptions: counts, neighbor tables, rx energy -------------- #
-    # One flat "(sender, neighbor) column × fired frame" layout for every
-    # reception, column-major per sender (all finishes at the sender's
-    # first neighbor, then its second, …) — the same traversal the old
-    # per-sender loop produced, with no python iteration.
-    act = np.flatnonzero((n_fired_per_node > 0) & (deg_all > 0))
-    fin_keep = recv_keep = erx_keep = None
+    n_fin = 0
+    fin_keep = recv_keep = None
     tf_first = tf_last = tf_recv = tf_send = None
     rx_arr = rx_fire = rx_uid = rx_cidx = rx_lost = None
     n_del = n_drop = 0
-    if act.size:
-        deg_a = deg_all[act]
-        col_send = np.repeat(act, deg_a)
-        col_nbr = np.concatenate([neighbor_ids[i] for i in act])
-        col_delay = np.concatenate([nbr_delays[i] for i in act])
-        col_len = np.repeat(n_fired_per_node[act], deg_a)
-        col_start = np.cumsum(col_len) - col_len
-        total = int(col_len[-1] + col_start[-1])
-        pair_col = np.repeat(np.arange(col_len.size), col_len)
-        r = np.arange(total) - col_start[pair_col]
-        send_of = col_send[pair_col]
+    if total:
+        pair = np.repeat(nbr_off[snd] - frame_start, deg_q) + np.arange(total)
+        nbr_cat = np.concatenate(neighbor_ids)
+        recv = nbr_cat[pair]
+        frame_e = np.repeat(np.arange(n_tx), deg_q)  # fire rank = uid - uid0
         # finish = (fire + delay) + duration: the scalar two-step add
-        fire_flat = all_fire[offsets[send_of] + r]
-        arr_flat = fire_flat + col_delay[pair_col]
-        fin_flat = arr_flat + durations[send_of]
-        # finishes increase down each column, so "within warmup" is a
-        # per-column prefix
-        keep = fin_flat <= warmup
-        # delivery index of each element within its frame: the position
-        # in the sender's neighbor list, which is the loss-draw order
-        col_c = np.arange(col_len.size) - np.repeat(
-            np.cumsum(deg_a) - deg_a, deg_a
-        )
+        fire_e = np.repeat(fire_q, deg_q)
+        arr_e = fire_e + np.concatenate(nbr_delays)[pair]
+        fin_e = arr_e + np.repeat(durations[snd], deg_q)
+        keep = fin_e <= warmup
         if has_draws:
-            # each element's frame has a global fire rank (= uid rank);
-            # its fate sits at that frame's draw offset + delivery index
-            rank_flat = uids[offsets[send_of] + r] - uid0
-            lost_flat = u_all[draw_start[rank_flat] + col_c[pair_col]] < p_loss
-            del_flat = keep & ~lost_flat
+            lost_e = u_all < p_loss
+            del_e = keep & ~lost_e
         elif all_lost:
-            lost_flat = np.ones(total, dtype=bool)
-            del_flat = np.zeros(total, dtype=bool)
+            lost_e = np.ones(total, dtype=bool)
+            del_e = np.zeros(total, dtype=bool)
         else:
-            lost_flat = None
-            del_flat = keep
+            lost_e = None
+            del_e = keep
         n_fin = int(keep.sum())
-        n_del = int(del_flat.sum()) if lost_flat is not None else n_fin
+        n_del = int(del_e.sum()) if lost_e is not None else n_fin
         n_drop = n_fin - n_del
         if n_fin:
             e_rx_of = np.empty(n_nodes, dtype=np.float64)
             for b in np.unique(bits):
                 e_rx_of[bits == b] = e_rx[b]
-            fin_keep = fin_flat[keep]
-            recv_keep = col_nbr[pair_col][keep]
-            erx_keep = e_rx_of[send_of[keep]]
+            erx_frame = e_rx_of[snd]
             # Neighbor tables form from *delivered* receptions only.
             # Scalar semantics: update_hello inserts/refreshes an entry on
             # every delivery, and each receiver's own HELLO tick purges
@@ -455,11 +427,29 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
             # executed tick did not purge it.  Lossless runs never purge
             # (the eligibility gate bounds every refresh gap below the
             # expiry), so the epoch walk is loss-only work.
-            flat_idx = np.arange(total)
-            last_i = np.maximum.reduceat(
-                np.where(del_flat, flat_idx, -1), col_start
-            )
+            # A pair's receptions come one per fired frame of its sender,
+            # finishing in frame order, so "within the warmup" is a prefix
+            # of them.
+            sender_of_pair = np.repeat(np.arange(n_nodes), deg_all)
             if has_draws:
+                # the epoch walk runs on a column-major copy: one column
+                # per pair, its receptions in frame order
+                col_len = np.bincount(pair)
+                cols = np.flatnonzero(col_len)
+                col_len = col_len[cols]
+                col_start = np.cumsum(col_len) - col_len
+                pair_col = np.repeat(np.arange(cols.size), col_len)
+                col_nbr = nbr_cat[cols]
+                by_pair = np.argsort(
+                    pair.astype(np.int16 if nbr_cat.size <= 1 << 15 else np.int32),
+                    kind="stable",
+                )
+                fin_flat = fin_e[by_pair]
+                del_flat = del_e[by_pair]
+                flat_idx = np.arange(total)
+                last_i = np.maximum.reduceat(
+                    np.where(del_flat, flat_idx, -1), col_start
+                )
                 del_idx = np.flatnonzero(del_flat)
                 # previous delivered element within the same column
                 prev_acc = np.maximum.accumulate(
@@ -511,22 +501,33 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
                 f_max = fin_flat[np.maximum(last_i, 0)]
                 alive_col = ~((t_last_of[col_nbr] - f_max) > _HELLO_EXPIRY)
                 sel = (last_i >= 0) & alive_col
+                tf_first = fin_flat[ins_i[sel]]
+                tf_last = fin_flat[last_i[sel]]
+                tf_recv = col_nbr[sel]
+                tf_send = sender_of_pair[cols[sel]]
             else:
-                ins_i = np.minimum.reduceat(
-                    np.where(del_flat, flat_idx, total), col_start
-                )
-                sel = last_i >= 0
-            tf_first = fin_flat[ins_i[sel]]
-            tf_last = fin_flat[last_i[sel]]
-            tf_recv = col_nbr[sel]
-            tf_send = col_send[sel]
-            if store_rx or (store_drop and lost_flat is not None):
-                rx_arr = arr_flat[keep]
-                rx_fire = fire_flat[keep]
-                rx_uid = uids[offsets[send_of] + r][keep]
-                rx_cidx = col_c[pair_col][keep]
-                if lost_flat is not None:
-                    rx_lost = lost_flat[keep]
+                # every frame inside the warmup delivers (or, at p >= 1,
+                # none does): a pair's entry spans its sender's first
+                # delivered frame to its last
+                n_got = np.bincount(pair[del_e])
+                cols = np.flatnonzero(n_got)
+                tf_send = sender_of_pair[cols]
+                slot = cols - nbr_off[tf_send]
+                first = frame_start[uids[offsets[tf_send]] - uid0] + slot
+                last = frame_start[uids[offsets[tf_send] + n_got[cols] - 1] - uid0] + slot
+                tf_first = fin_e[first]
+                tf_last = fin_e[last]
+                tf_recv = nbr_cat[cols]
+            if store_rx or (store_drop and lost_e is not None):
+                fin_keep = fin_e[keep]
+                recv_keep = recv[keep]
+                rx_arr = arr_e[keep]
+                rx_fire = fire_e[keep]
+                rx_uid = uid0 + frame_e[keep]
+                # delivery index: the neighbor's slot in the sender's list
+                rx_cidx = (pair - np.repeat(nbr_off[snd], deg_q))[keep]
+                if lost_e is not None:
+                    rx_lost = lost_e[keep]
     if n_del:
         recorder.counts[(TraceKind.RX, "HelloPacket")] += n_del
     if n_drop:
@@ -545,14 +546,12 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
         tx_recs: List[TraceRecord] = []
         rx_recs: List[TraceRecord] = []
         if store_tx and n_tx:
-            fire_sorted = all_fire[order]
-            mask_sorted = fired_mask[order]
             tx_recs = list(map(tuple.__new__, _repeat(TraceRecord), zip(
-                fire_sorted[mask_sorted].tolist(),
+                fire_q.tolist(),
                 _repeat(TraceKind.TX),
-                all_node[order][mask_sorted].tolist(),
+                snd.tolist(),
                 _repeat("HelloPacket"),
-                uids[order][mask_sorted].tolist(),
+                range(uid0, uid0 + n_tx),
             )))
         if rx_arr is not None:
             rx_ord = np.lexsort((rx_cidx, rx_fire, rx_arr, fin_keep))
@@ -608,7 +607,7 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
             out.extend(rx_recs[ri:])
 
     # neighbor tables: entries in first-reception order, refreshed to the
-    # last reception (update_hello semantics: fresh groups set each time)
+    # last reception (update_hello semantics: the sender's groups)
     nodes = net.nodes
     if tf_first is not None:
         tbl_ord = np.lexsort((tf_send, tf_first, tf_recv))
@@ -620,32 +619,38 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
             raise _Inexpressible("first-reception-tie")
         f_last = tf_last[tbl_ord].tolist()
         f_send = tf_send[tbl_ord].tolist()
-        groups_of = [node.groups for node in nodes]
+        groups_of = [frozenset(node.groups) for node in nodes]
         tables = [node.neighbor_table._entries for node in nodes]
-        for k, j in enumerate(f_recv.tolist()):
-            i = f_send[k]
-            e = NeighborEntry(node_id=i)
-            e.last_seen = f_last[k]
-            e.groups = set(groups_of[i])
-            tables[j][i] = e
+        for j, i, last in zip(f_recv.tolist(), f_send, f_last):
+            tables[j][i] = NeighborEntry(i, last, groups_of[i])
 
     # rx energy: per receiver, the exact sequential fold in finish order
-    if fin_keep is not None:
-        sort_ix = np.lexsort((fin_keep, recv_keep))
-        fin_s = fin_keep[sort_ix]
-        recv_s = recv_keep[sort_ix]
-        erx_s = erx_keep[sort_ix]
-        same_recv = recv_s[1:] == recv_s[:-1]
-        if np.any(same_recv & (fin_s[1:] == fin_s[:-1]) & (erx_s[1:] != erx_s[:-1])):
-            # two different-size frames finishing at the bit-identical
-            # instant at one radio: the fold order is seq-dependent
-            raise _Inexpressible("rx-energy-fold-tie")
-        bounds = np.flatnonzero(~same_recv) + 1
-        starts = np.concatenate(([0], bounds))
-        stops = np.concatenate((bounds, [fin_s.size]))
-        for a, b in zip(starts, stops):
-            acc = np.cumsum(erx_s[a:b])
-            nodes[int(recv_s[a])].energy.rx_joules = float(acc[-1])
+    if n_fin:
+        # the receptions inside the warmup, in finish order (stable: ties
+        # keep frame-major order)
+        by_fin = np.argsort(fin_e, kind="stable")[:n_fin]
+        fin_s = fin_e[by_fin]
+        frame_s = frame_e[by_fin]
+        recv_s = recv[by_fin]
+        erx_s = erx_frame[frame_s]
+        same_fin = fin_s[1:] == fin_s[:-1]
+        mixed = same_fin & (frame_s[1:] != frame_s[:-1])
+        if np.any(mixed):
+            # frames finishing at one bit-identical instant: if two of
+            # them of different sizes reach one radio, the fold order
+            # there is seq-dependent
+            run = np.concatenate(([0], np.cumsum(~same_fin)))
+            m = np.isin(run, run[1:][mixed])
+            o = np.lexsort((recv_s[m], run[m]))
+            ru, rr, ee = run[m][o], recv_s[m][o], erx_s[m][o]
+            if np.any((ru[1:] == ru[:-1]) & (rr[1:] == rr[:-1]) & (ee[1:] != ee[:-1])):
+                raise _Inexpressible("rx-energy-fold-tie")
+        # np.add.at is unbuffered: it adds one element at a time, in
+        # order, so each receiver's accumulator performs the scalar fold
+        rx_joules = np.zeros(n_nodes)
+        np.add.at(rx_joules, recv_s, erx_s)
+        for j in np.flatnonzero(np.bincount(recv_s, minlength=n_nodes)).tolist():
+            nodes[j].energy.rx_joules = float(rx_joules[j])
 
     # tx energy: n identical adds of the per-node tx cost
     max_fired = int(n_fired_per_node.max()) if n_nodes else 0
@@ -733,7 +738,7 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
                 if has_draws:
                     # the frame fired pre-boundary, so its fates are in
                     # the pre-sampled block at its fire rank's offset
-                    base = int(draw_start[int(uids[offsets[i] + nf - 1]) - uid0])
+                    base = int(frame_start[int(uids[offsets[i] + nf - 1]) - uid0])
                 for c in range(nbr.size):
                     arr = f + float(delays_i[c])
                     fin = arr + dur
@@ -805,33 +810,34 @@ def run_batch(
     if reason is not None:
         raise ValueError(f"configs are not batch-eligible: {reason}")
 
-    try:
-        streams = BatchedStreams([cfg.seed for cfg in cfgs])
-        plan = _HelloPlan(cfgs[0], streams)
-    except _Inexpressible as exc:
-        # plan-level failure (e.g. tick-depth margin): scalar for everyone
-        STATS.record_fallback(exc.reason, n=len(cfgs))
-        return [
-            run_single(
-                cfg, keep_positions=keep_positions, trace=trace,
-                cache=False, warm_start=False,
-            )
-            for cfg in cfgs
-        ]
-    enabled, counters_only = _trace_signature(trace, cfgs[0])
-    session_plan = active_sessions(cfgs[0])
-    n_flows = len(session_plan) if session_plan is not None else 1
-
-    # Pause cyclic GC for the batch, as run_single does for one run: each
-    # seed builds a deployment of thousands of containers whose churn
-    # would trigger pointless young-generation scans.  No garbage piles
-    # up meanwhile: _run_suffix closes every seed's deployment, so
-    # reference counting frees it.
+    # Pause cyclic GC for the whole call, as run_single does for one run:
+    # the plan builds thousands of generators and each seed a deployment
+    # of thousands of containers, whose churn would trigger pointless
+    # young-generation scans.  No garbage piles up meanwhile:
+    # _run_suffix closes every seed's deployment, so reference counting
+    # frees it.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
-    results: List["RunResult"] = []
     try:
+        try:
+            streams = BatchedStreams([cfg.seed for cfg in cfgs])
+            plan = _HelloPlan(cfgs[0], streams)
+        except _Inexpressible as exc:
+            # plan-level failure (e.g. tick-depth margin): scalar for everyone
+            STATS.record_fallback(exc.reason, n=len(cfgs))
+            return [
+                run_single(
+                    cfg, keep_positions=keep_positions, trace=trace,
+                    cache=False, warm_start=False,
+                )
+                for cfg in cfgs
+            ]
+        enabled, counters_only = _trace_signature(trace, cfgs[0])
+        session_plan = active_sessions(cfgs[0])
+        n_flows = len(session_plan) if session_plan is not None else 1
+
+        results: List["RunResult"] = []
         for s, cfg in enumerate(cfgs):
             uid_start = current_uid()
             recorder = TraceRecorder(enabled_kinds=enabled, counters_only=counters_only)

@@ -21,6 +21,7 @@ import zlib
 from typing import Dict, Hashable, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["BatchedStreams", "RngRegistry"]
 
@@ -35,30 +36,110 @@ def _key_to_int(key: Tuple[Hashable, ...]) -> int:
     return zlib.crc32(repr(key).encode("utf-8"))
 
 
-#: Initial bit-generator states, memoised per ``(master seed, key)``
-#: across registries.  A stream's initial state is a pure function of
-#: that pair, so re-running a seed (tests, benchmarks, repeated
-#: Monte-Carlo rounds) can restore the state instead of re-hashing a
-#: ``SeedSequence`` — the hash dominates stream creation, and a full run
-#: creates a couple hundred streams.  Restoring is semantically
-#: invisible: the generator starts in the bit-identical state either way.
-_STATE_CACHE: Dict[Tuple[int, Tuple[Hashable, ...]], dict] = {}
-_STATE_CACHE_MAX = 8192
+# --------------------------------------------------------------------- #
+# numpy's SeedSequence hash, split at the spawn word
+# --------------------------------------------------------------------- #
+# A stream is ``PCG64(SeedSequence(entropy=seed, spawn_key=(k,)))`` with
+# ``k = _key_to_int(key)``.  The SeedSequence pools the entropy words (the
+# seed's uint32 words, least significant first and zero-padded to 4, then
+# k) into 4 uint32 words, and PCG64 seeds from 8 words hashed out of the
+# pool.  Everything up to the spawn word depends on the seed alone, and
+# the hash constants never depend on the data, so a registry hashes its
+# seed once and each key costs the last 4 mixes and the 8 output hashes —
+# which :func:`_spawn_words` computes for one key (Python ints) or for a
+# block of keys at once (uint64 arrays, wrapping products masked to 32
+# bits).  Constants from numpy/random/bit_generator.pyx.
+_M32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
 
-#: Throwaway seed for the restore path: the PCG64 is constructed cheaply
-#: from this pre-hashed SeedSequence, then overwritten with the cached
-#: initial state.
-_DUMMY_SS = np.random.SeedSequence(0)
+#: integer-indexed keys ``(name, i)`` are hashed in aligned blocks of
+#: this many indices
+_BLOCK = 64
 
-#: Retired ``Generator`` objects, pooled per ``(master seed, key)``.
-#: Constructing a ``PCG64`` costs ~5x more than resetting one's state, so
-#: a registry that dies returns its generators here and the next registry
-#: built with the same seed checks one out and rewinds it to the cached
-#: initial state.  Entries are *checked out* (popped), never shared: a
-#: generator lives in at most one registry at a time, so two live
-#: registries can never interleave draws on the same stream.
-_GEN_POOL: Dict[Tuple[int, Tuple[Hashable, ...]], list] = {}
-_GEN_POOL_MAX = 8192
+
+def _hash_consts(h: int, mult: int, n: int) -> list:
+    """``n`` successive ``(xor constant, multiplier)`` pairs of a hash."""
+    out = []
+    for _ in range(n):
+        h_next = (h * mult) & _M32
+        out.append((h, h_next))
+        h = h_next
+    return out
+
+
+#: SeedSequence.generate_state's per-word constants (8 words = 4 uint64)
+_OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return r ^ (r >> _XSHIFT)
+
+
+def _seed_pool(seed: int) -> tuple:
+    """The pool after every seed word, and the spawn word's hash constants."""
+    words = []
+    n = seed
+    while True:
+        words.append(n & _M32)
+        n >>= 32
+        if not n:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    consts = iter(_hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * (len(words) + 1)))
+
+    def hashmix(v: int) -> int:
+        x, m = next(consts)
+        v = ((v ^ x) * m) & _M32
+        return v ^ (v >> _XSHIFT)
+
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for w in words[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(w))
+    return tuple(pool), tuple(consts)
+
+
+def _spawn_words(seed_pool: tuple, k):
+    """PCG64's four seed words for spawn word ``k`` (an int or a uint64 array)."""
+    pool, consts = seed_pool
+    mixed = []
+    for p, (x, m) in zip(pool, consts):
+        v = ((k ^ x) * m) & _M32
+        mixed.append(_mix(p, v ^ (v >> _XSHIFT)))
+    out = []
+    for i, (x, m) in enumerate(_OUT_CONSTS):
+        v = ((mixed[i % _POOL_SIZE] ^ x) * m) & _M32
+        out.append(v ^ (v >> _XSHIFT))
+    # generate_state(4, uint64) pairs the uint32 words little-endian
+    return [out[i] | (out[i + 1] << 32) for i in range(0, len(out), 2)]
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence that hands a bit generator precomputed words.
+
+    ``PCG64(_SeedWords(w))`` seeds in C from ``w`` exactly as it would from
+    the SeedSequence that hashed to ``w``.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 class RngRegistry:
@@ -67,59 +148,44 @@ class RngRegistry:
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self._streams: Dict[Tuple[Hashable, ...], np.random.Generator] = {}
+        #: the seed's share of the stream hash (:func:`_seed_pool`)
+        self._pool = None
+        #: seed words of the integer-indexed keys, per ``(name, block)``
+        self._blocks: Dict[Tuple[str, int], np.ndarray] = {}
 
     def stream(self, *key: Hashable) -> np.random.Generator:
         """Return (creating on first use) the generator for ``key``.
 
         The same key always yields the same generator object within a
         registry, and the same *initial state* across registries built
-        with the same master seed.
+        with the same master seed: that of
+        ``PCG64(SeedSequence(entropy=seed, spawn_key=(_key_to_int(key),)))``.
         """
+        gen = self._streams.get(key)
+        if gen is not None:
+            return gen
         if not key:
             raise ValueError("stream key must be non-empty")
-        k = tuple(key)
-        gen = self._streams.get(k)
-        if gen is None:
-            cache_key = (self.seed, k)
-            state = _STATE_CACHE.get(cache_key)
-            if state is None:
-                ss = np.random.SeedSequence(
-                    entropy=self.seed, spawn_key=(_key_to_int(k),)
+        pool = self._pool
+        if pool is None:
+            pool = self._pool = _seed_pool(self.seed)
+        name, i = key if len(key) == 2 else (None, None)
+        if type(name) is str and type(i) is int and i >= 0:
+            # a numpy integer's repr (and so its stream) differs from an
+            # int's, and it takes the one-key path
+            b, r = divmod(i, _BLOCK)
+            block = self._blocks.get((name, b))
+            if block is None:
+                ks = np.array(
+                    [_key_to_int((name, j)) for j in range(b * _BLOCK, (b + 1) * _BLOCK)],
+                    dtype=np.uint64,
                 )
-                gen = np.random.default_rng(ss)
-                if len(_STATE_CACHE) < _STATE_CACHE_MAX and isinstance(
-                    gen.bit_generator, np.random.PCG64
-                ):
-                    # .state snapshots the *initial* state; later draws
-                    # advance the generator, not the snapshot.
-                    _STATE_CACHE[cache_key] = gen.bit_generator.state
-            else:
-                pooled = _GEN_POOL.get(cache_key)
-                if pooled:
-                    # recycle a retired generator: rewinding its state is
-                    # bit-identical to (and much cheaper than) building a
-                    # fresh PCG64 from the same seed material
-                    gen = pooled.pop()
-                    gen.bit_generator.state = state
-                else:
-                    bg = np.random.PCG64(_DUMMY_SS)
-                    bg.state = state
-                    gen = np.random.Generator(bg)
-            self._streams[k] = gen
+                block = self._blocks[(name, b)] = np.stack(_spawn_words(pool, ks), axis=1)
+            words = block[r]
+        else:
+            words = np.array(_spawn_words(pool, _key_to_int(key)), dtype=np.uint64)
+        gen = self._streams[key] = np.random.Generator(np.random.PCG64(_SeedWords(words)))
         return gen
-
-    def __del__(self) -> None:
-        # Return generators to the pool for the next same-seed registry.
-        # Safe: this registry is unreachable, so nothing else can draw
-        # from them, and checkout rewinds the state before reuse.
-        try:
-            seed = self.seed
-            for k, gen in self._streams.items():
-                cache_key = (seed, k)
-                if cache_key in _STATE_CACHE and len(_GEN_POOL) < _GEN_POOL_MAX:
-                    _GEN_POOL.setdefault(cache_key, []).append(gen)
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
 
     def spawn_run_seeds(self, n_runs: int) -> list[int]:
         """Derive ``n_runs`` independent master seeds for Monte-Carlo runs.
@@ -138,37 +204,35 @@ class RngRegistry:
 class _BlockDraw:
     """One cross-seed block of draws from the same stream key.
 
-    Holds the per-seed matrix of speculatively drawn values plus the
-    bit-generator states captured *before* the block, so :meth:`commit`
-    can rewind each stream and redraw exactly the number of values the
-    scalar kernel would have consumed.  Because a size-``n`` numpy draw
-    is bitwise identical to ``n`` scalar draws (and leaves the generator
-    in the same state), the committed streams are draw-for-draw
-    indistinguishable from scalar execution.
+    Holds the per-seed matrix of speculatively drawn values, so
+    :meth:`commit` can move each stream to where it would stand after
+    exactly the number of values the scalar kernel would have consumed.
+    Because a size-``n`` numpy draw is bitwise identical to ``n`` scalar
+    draws (and leaves the generator in the same state), the committed
+    streams are draw-for-draw indistinguishable from scalar execution.
     """
 
-    __slots__ = ("matrix", "_gens", "_states", "_low", "_high")
+    __slots__ = ("matrix", "_gens")
 
-    def __init__(self, gens, states, matrix, low: float, high: float) -> None:
+    def __init__(self, gens, matrix) -> None:
         self._gens = gens
-        self._states = states
         #: speculative draws, shape ``(n_seeds, n)``
         self.matrix = matrix
-        self._low = low
-        self._high = high
 
     def commit(self, counts) -> None:
-        """Rewind every stream, then consume exactly ``counts[s]`` draws.
+        """Step every stream back so it has consumed ``counts[s]`` draws.
 
-        After this the per-seed generators sit at the state the scalar
-        kernel would have left them in after ``counts[s]`` scalar draws.
+        A ``uniform`` double is one 64-bit PCG64 step, so the stream
+        ``n`` draws past the block's start lands on the scalar state
+        after ``counts[s]`` draws by advancing ``counts[s] - n`` steps
+        modulo the period.  ``advance`` also clears the uint32 buffer,
+        which double draws never fill.
         """
-        low, high = self._low, self._high
-        for gen, state, count in zip(self._gens, self._states, counts):
-            gen.bit_generator.state = state
+        n = self.matrix.shape[1]
+        for gen, count in zip(self._gens, counts):
             c = int(count)
-            if c:
-                gen.uniform(low, high, size=c)
+            if c != n:
+                gen.bit_generator.advance((c - n) % (1 << 128))
 
 
 class BatchedStreams:
@@ -211,8 +275,7 @@ class BatchedStreams:
     ) -> _BlockDraw:
         """Draw ``n`` values per seed speculatively; commit the real count later."""
         gens = [reg.stream(*key) for reg in self.registries]
-        states = [g.bit_generator.state for g in gens]
         matrix = np.empty((len(gens), n), dtype=np.float64)
         for s, g in enumerate(gens):
             matrix[s] = g.uniform(low, high, size=n)
-        return _BlockDraw(gens, states, matrix, low, high)
+        return _BlockDraw(gens, matrix)

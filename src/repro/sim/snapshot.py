@@ -46,6 +46,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.sim.hooks import phase
 from repro.sim.trace import TraceKind, TraceRecorder
@@ -300,17 +301,28 @@ _BIT_GENERATORS = {
 }
 
 
+class _ZeroWords(ISeedSequence):
+    """Seed words that are all zero: a bit generator seeded from them
+    skips SeedSequence hashing, and its state is overwritten at once."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+_ZERO_WORDS = _ZeroWords()
+
+
 def _rebuild_generator(state: dict) -> np.random.Generator:
     """Rebuild a ``Generator`` from its bit-generator state dict.
 
     numpy's own unpickling constructs the bit generator with a fresh
     entropy-pool seed (OS entropy + seed sequence spreading) and then
-    overwrites the state — roughly half the cost of unpickling a
-    generator, all wasted.  Seeding from the constant 0 and assigning
-    the captured state lands on the identical generator in half the
-    time (state assignment fully determines the output stream).
+    overwrites the state — most of the cost of unpickling a generator,
+    all wasted.  Seeding from zero words and assigning the captured
+    state lands on the identical generator (state assignment fully
+    determines the output stream).
     """
-    bg = _BIT_GENERATORS[state["bit_generator"]](0)
+    bg = _BIT_GENERATORS[state["bit_generator"]](_ZERO_WORDS)
     bg.state = state
     return np.random.Generator(bg)
 

@@ -437,6 +437,33 @@ class TestFallback:
         assert STATS.batched_runs == 2
         assert STATS.fallback_reasons["test-sabotage"] == 1
 
+    @pytest.mark.parametrize("plan_fails", [False, True])
+    def test_collector_paused_over_the_whole_call(self, monkeypatch, plan_fails):
+        """The collector is off while the plan builds its generators and
+        back on afterwards, also when the plan itself falls back."""
+        import gc
+
+        cfgs = [ELIGIBLE.with_(seed=s) for s in range(2)]
+        reset_uids()
+        scalar = [run_single(c, cache=False, warm_start=False) for c in cfgs]
+        seen = []
+        real = batch_mod._HelloPlan
+
+        def plan(cfg, streams):
+            seen.append(gc.isenabled())
+            if plan_fails:
+                raise batch_mod._Inexpressible("test-plan")
+            return real(cfg, streams)
+
+        monkeypatch.setattr(batch_mod, "_HelloPlan", plan)
+        assert gc.isenabled()
+        reset_uids()
+        assert run_batch(cfgs) == scalar
+        assert seen == [False]
+        assert gc.isenabled()
+        if plan_fails:
+            assert STATS.fallback_reasons["test-plan"] == 2
+
     def test_fallback_surfaces_in_obs_registry(self):
         from repro.obs.registry import CounterRegistry
 

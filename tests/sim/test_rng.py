@@ -114,6 +114,16 @@ def test_numpy_integer_index_keeps_its_own_stream(seed, name, index):
     assert state == _numpy_stream_state(seed, key)
 
 
+def test_equal_int_and_numpy_int_keys_keep_their_own_streams():
+    """``("hello", 5)`` and ``("hello", np.int64(5))`` compare equal but
+    name different streams (their reprs differ); a registry must not hand
+    one the stream an earlier same-seed registry created for the other."""
+    for first, second in ((5, np.int64(5)), (np.int64(6), 6)):
+        RngRegistry(11).stream("hello", first)
+        state = RngRegistry(11).stream("hello", second).bit_generator.state
+        assert state == _numpy_stream_state(11, ("hello", second))
+
+
 @given(_SEEDS, _KEYS, st.integers(min_value=0, max_value=5))
 def test_stream_survives_pickle_round_trip(seed, key, n_before):
     """Property: a pickled stream resumes exactly where the original is."""
@@ -125,19 +135,18 @@ def test_stream_survives_pickle_round_trip(seed, key, n_before):
 
 
 def test_recycled_generator_is_rewound():
-    """A pooled Generator (returned when a registry is garbage-collected)
-    must restart its stream exactly, not continue where the old run left
-    off — the pool is a pure allocation optimisation."""
+    """A registry built after a same-seed one has died starts each stream
+    afresh, not where the dead registry's generator left off."""
     reg = RngRegistry(123)
     expect = reg.stream("mac", 1).uniform(size=8)
-    del reg  # retires the generator into the pool
+    del reg
     got = RngRegistry(123).stream("mac", 1).uniform(size=8)
     assert np.array_equal(expect, got)
 
 
 def test_live_registries_never_share_a_generator():
-    """The pool hands out a generator to at most one registry at a time;
-    two live registries on the same (seed, key) must not alias streams."""
+    """Two live registries on the same (seed, key) never alias one
+    generator: each draws the same values with its own cursor."""
     a = RngRegistry(7)
     b = RngRegistry(7)
     ga = a.stream("proto", 2)
@@ -208,18 +217,14 @@ def test_interleaved_batched_and_scalar_keys_stay_paired():
 
 
 def test_batched_streams_rewind_pooled_generators():
-    """Pool checkout/return ordering cannot leak a stale cursor.
-
-    A retired registry parks its (advanced) generators in the pool; a
-    ``BatchedStreams`` built afterwards with the same seeds checks them
-    out and must see each stream rewound to its initial state.
-    """
+    """A ``BatchedStreams`` built after same-seed registries advanced a
+    stream and died sees that stream at its initial state."""
     seeds = [101, 102, 103]
     expect = {}
     for seed in seeds:
         reg = RngRegistry(seed)
         expect[seed] = reg.stream("hello", 0).uniform(size=5)
-        del reg  # retire the advanced generator into the pool
+        del reg
     bs = BatchedStreams(seeds)
     got = bs.uniform_matrix(("hello", 0), 0.0, 1.0)
     for s, seed in enumerate(seeds):
