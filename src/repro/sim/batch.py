@@ -29,8 +29,9 @@ Bit-exactness contract (why this is safe, not just close):
   emitted in fire order (= tick order); both are reproduced from one
   stable argsort, with exact-tie detection falling back to scalar.
 * energy accumulators are per-node sequential float folds (tx and rx are
-  *separate* accumulators), reproduced with per-node ``cumsum`` in
-  finish-time order; ambiguous same-instant folds fall back to scalar.
+  *separate* accumulators), reproduced with ``cumsum`` (tx) and an
+  unbuffered ``np.add.at`` over the receptions in finish-time order (rx);
+  ambiguous same-instant folds fall back to scalar.
 * radio state (begin/end TX, capture bookkeeping) is unobservable under
   ``perfect_channel`` + IdealMac, and is therefore not reconstructed.
 * multi-session plans only touch the *prefix* through group-membership

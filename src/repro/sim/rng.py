@@ -85,6 +85,8 @@ def _mix(x, y):
 
 def _seed_pool(seed: int) -> tuple:
     """The pool after every seed word, and the spawn word's hash constants."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")  # as SeedSequence
     words = []
     n = seed
     while True:
@@ -186,6 +188,12 @@ class RngRegistry:
             words = np.array(_spawn_words(pool, _key_to_int(key)), dtype=np.uint64)
         gen = self._streams[key] = np.random.Generator(np.random.PCG64(_SeedWords(words)))
         return gen
+
+    def __getstate__(self) -> dict:
+        # a copy (a warm snapshot's blob) leaves the seed-word blocks
+        # behind: the streams it carries are built, and any new one
+        # recomputes its block
+        return {**self.__dict__, "_blocks": {}}
 
     def spawn_run_seeds(self, n_runs: int) -> list[int]:
         """Derive ``n_runs`` independent master seeds for Monte-Carlo runs.

@@ -1,7 +1,7 @@
 """Golden trace-digest regression tests.
 
-The fast-path overhaul (sparse geometry, fire-and-forget events, rng
-stream pooling, reception recycling, GC pausing) is allowed to change
+The fast-path overhaul (sparse geometry, fire-and-forget events, bulk
+rng stream seeding, reception recycling, GC pausing) is allowed to change
 *how fast* a run executes, never *what* it computes.  These digests pin
 two full end-to-end runs — one per protocol family and topology — to the
 exact traces the pre-optimisation tree produced.  If any "optimisation"

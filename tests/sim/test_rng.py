@@ -45,6 +45,11 @@ def test_empty_key_rejected():
         RngRegistry(0).stream()
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        RngRegistry(-1).stream("x")
+
+
 def test_spawn_run_seeds_deterministic():
     assert RngRegistry(9).spawn_run_seeds(10) == RngRegistry(9).spawn_run_seeds(10)
 
@@ -132,6 +137,18 @@ def test_stream_survives_pickle_round_trip(seed, key, n_before):
     clone = pickle.loads(pickle.dumps(gen))
     assert clone.bit_generator.state == gen.bit_generator.state
     assert np.array_equal(clone.uniform(size=6), gen.uniform(size=6))
+
+
+def test_pickled_registry_keeps_deriving_streams():
+    """A registry copied by pickle (as warm snapshots copy one) resumes its
+    streams and derives new ones exactly as numpy would."""
+    seed = 2**33 + 5
+    reg = RngRegistry(seed)
+    reg.stream("hello", 3).uniform(size=2)
+    clone = pickle.loads(pickle.dumps(reg))
+    assert clone.stream("hello", 3).bit_generator.state == reg.stream("hello", 3).bit_generator.state
+    for key in (("hello", 5), ("hello", 70), ("topology",)):
+        assert clone.stream(*key).bit_generator.state == _numpy_stream_state(seed, key)
 
 
 def test_recycled_generator_is_rewound():
