@@ -243,8 +243,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--cache", action="store_true",
-        help="reuse identical runs from the results/cache/ disk cache "
-             "(sets REPRO_RESULT_CACHE; delete the directory to invalidate)",
+        help="store each run in results/cache/ as it finishes and replay "
+             "stored runs, so a rerun resumes (sets REPRO_RESULT_CACHE; "
+             "delete the directory to invalidate)",
     )
     parser.add_argument(
         "--obs-out", default="results/obs",

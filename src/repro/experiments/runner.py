@@ -23,9 +23,11 @@ config, seed, index and content hash, and ``on_error="collect"`` keeps
 the campaign running with errors returned in-place (fuzz mode).
 
 Because a run is a pure function of its config, results are also
-*cacheable*: :func:`run_single` can content-hash the config and reuse a
-previous :class:`RunResult` from disk (``results/cache/`` by convention;
-see :func:`config_hash`).  Delete the cache directory — or bump
+*storeable*: a :class:`ResultStore` keeps each flat result under its
+:func:`config_hash`, and :func:`run_single` (``cache=``, or
+``$REPRO_RESULT_CACHE``) replays a stored result instead of rerunning it.
+A campaign writes each run as it lands, so an interrupted sweep resumes
+where it stopped.  Delete the store directory — or bump
 ``CACHE_VERSION`` when run semantics change — to invalidate.
 """
 
@@ -35,6 +37,7 @@ import gc
 import hashlib
 import json
 import os
+import tempfile
 import threading
 import traceback as _traceback
 import warnings
@@ -66,6 +69,7 @@ from repro.sim.trace import TraceKind, TraceRecorder
 __all__ = [
     "RunResult",
     "RunError",
+    "ResultStore",
     "run_single",
     "run_many",
     "resolve_workers",
@@ -88,8 +92,8 @@ __all__ = [
 #: plans), changing the hashed payload shape for every config.
 CACHE_VERSION = 2
 
-#: Environment variable naming the default run-result cache directory.
-#: Unset (the default) disables caching entirely.
+#: Environment variable naming the default result store directory.
+#: Unset (the default) disables the store entirely.
 CACHE_ENV_VAR = "REPRO_RESULT_CACHE"
 
 
@@ -137,7 +141,7 @@ class RunResult:
 
 
 # --------------------------------------------------------------------- #
-# run-result disk cache
+# the result store
 # --------------------------------------------------------------------- #
 def config_hash(cfg: SimulationConfig) -> str:
     """Content hash identifying a run: the full config + cache version."""
@@ -148,33 +152,84 @@ def config_hash(cfg: SimulationConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _default_cache_dir() -> Optional[Path]:
-    path = os.environ.get(CACHE_ENV_VAR)
-    return Path(path) if path else None
+class ResultStore:
+    """Content-addressed :class:`RunResult` store: one ``<config_hash>.json``
+    file per run, under ``root``.
+
+    Every stored result is served to any later run — in any process — of
+    the same config.  ``config_hash`` folds in ``CACHE_VERSION``, so
+    entries written under older run semantics become unreachable when
+    the version bumps.  Writes are atomic: each writer renames a temp file
+    of its own over the entry, so readers never see half a file and two
+    writers of one entry (threads or processes) never collide.  Only flat
+    metric results are storeable: :meth:`put` refuses runs carrying
+    positions, a multi-session traffic payload or hook reports.
+    """
+
+    def __init__(self, root: Union[str, Path]) -> None:
+        self.root = Path(root)
+        self.hits = 0
+        self.misses = 0
+        self.stores = 0
+        self._lock = threading.Lock()
+
+    def path_for(self, cfg: SimulationConfig) -> Path:
+        return self.root / f"{config_hash(cfg)}.json"
+
+    @staticmethod
+    def storeable(result: RunResult) -> bool:
+        return result.traffic is None and result.positions is None and not result.reports
+
+    def get(self, cfg: SimulationConfig) -> Optional[RunResult]:
+        """The stored result for ``cfg``, or None (counts hits/misses)."""
+        try:
+            payload = json.loads(self.path_for(cfg).read_text())
+        except (OSError, ValueError):
+            payload = None
+        with self._lock:
+            if payload is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+        payload["transmitters"] = tuple(payload.get("transmitters", ()))
+        payload["receivers"] = tuple(payload.get("receivers", ()))
+        return RunResult(**payload)
+
+    def put(self, cfg: SimulationConfig, result: RunResult) -> bool:
+        """Store ``result`` under ``cfg``'s hash; False if not storeable."""
+        if not self.storeable(result):
+            return False
+        payload = asdict(result)
+        for name in ("positions", "traffic", "reports"):
+            del payload[name]
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=self.root)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(payload, default=float))  # folds numpy scalars
+            os.replace(tmp, self.path_for(cfg))
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        with self._lock:
+            self.stores += 1
+        return True
+
+    def __len__(self) -> int:
+        return len(list(self.root.glob("*.json")))
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses, "stores": self.stores}
 
 
-def _cache_load(path: Path) -> Optional[RunResult]:
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
+def _store_dir(cache: Union[None, bool, str, Path]) -> Optional[Path]:
+    """The directory ``run_single(cache=...)`` names, or None for no store."""
+    if cache is False:
         return None
-    payload["transmitters"] = tuple(payload.get("transmitters", ()))
-    payload["receivers"] = tuple(payload.get("receivers", ()))
-    payload["positions"] = None
-    return RunResult(**payload)
-
-
-def _cache_store(path: Path, result: RunResult) -> None:
-    payload = asdict(result)
-    payload.pop("positions", None)
-    payload.pop("traffic", None)  # multi-session runs are never cached
-    payload.pop("reports", None)  # only hooked runs carry reports
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    # default=float folds numpy scalars; write-then-rename keeps readers
-    # of a shared cache from seeing half a file
-    tmp.write_text(json.dumps(payload, default=float))
-    tmp.replace(path)
+    if cache is None or cache is True:
+        cache = os.environ.get(CACHE_ENV_VAR) or None
+    return None if cache is None else Path(cache)
 
 
 def run_single(
@@ -196,11 +251,12 @@ def run_single(
         full event trace of the run (determinism tests, debugging).  The
         default recorder keeps only the kinds the metrics layer reads.
     cache:
-        Run-result disk cache: a directory path enables it there, True
-        uses ``$REPRO_RESULT_CACHE``, False disables, and None (default)
-        enables iff ``$REPRO_RESULT_CACHE`` is set.  Only plain metric
-        runs are cached — never runs keeping positions, an external
-        trace or hooks, whose value is in the side artifacts.
+        Result store directory (a :class:`ResultStore`): a path uses
+        that directory, True or None (default) ``$REPRO_RESULT_CACHE``
+        if it is set, and False none.  A stored result is replayed
+        unless the call keeps positions, takes an external trace or
+        carries hooks, which a stored result cannot give back; the
+        finished run is written whenever it is storeable.
     warm_start:
         Fork the run's prefix (topology/channel/HELLO warmup) from a
         warm snapshot instead of rebuilding it — bit-identical to the
@@ -220,30 +276,13 @@ def run_single(
         state, so the trace is bit-identical with or without them.
         Without any (the default) the run executes no hook code.
     """
-    cache_dir: Optional[Path]
-    if cache is False:
-        cache_dir = None
-    elif cache is None or cache is True:
-        cache_dir = _default_cache_dir()
-    else:
-        cache_dir = Path(cache)
-    from repro.traffic.spec import active_sessions
-
     hooks = tuple(hooks)
-    cacheable = (
-        cache_dir is not None
-        and not keep_positions
-        and trace is None
-        and not hooks
-        # multi-session results carry a structured TrafficMetrics payload
-        # the flat JSON cache cannot round-trip
-        and active_sessions(cfg) is None
-    )
-    if cacheable:
-        cache_path = cache_dir / f"{config_hash(cfg)}.json"
-        cached = _cache_load(cache_path)
-        if cached is not None:
-            return cached
+    store_dir = _store_dir(cache)
+    store = None if store_dir is None else ResultStore(store_dir)
+    if store is not None and not keep_positions and trace is None and not hooks:
+        stored = store.get(cfg)
+        if stored is not None:
+            return stored
 
     warm = None if hooks or cfg.schedule is not None else _resolve_warm(warm_start)
 
@@ -264,8 +303,8 @@ def run_single(
     finally:
         if gc_was_enabled:
             gc.enable()
-    if cacheable:
-        _cache_store(cache_path, result)
+    if store is not None:
+        store.put(cfg, result)
     return result
 
 
@@ -817,13 +856,15 @@ def _plan(
     return tasks + [(False, items[i:i + chunk_size]) for i in range(0, len(items), chunk_size)]
 
 
-def _task_rows(task: _Task, hooks=None):
+def _task_rows(task: _Task, hooks=None, cache: Union[bool, Path] = False):
     """Run one task, yielding ``(index, result, exc)`` per run.
 
     ``exc`` is what a failed run raised (its ``result`` is None).  A
     batch task whose kernel call raises reruns its configs one by one,
     which pins the failure on its own run.  ``hooks`` (a factory) builds
-    each run's hooks here; their reports land on the result.
+    each run's hooks here; their reports land on the result.  ``cache``
+    is the caller's result store directory (False: none), handed to each
+    unbatched run.
     """
     batched, items = task
     if batched:
@@ -841,7 +882,7 @@ def _task_rows(task: _Task, hooks=None):
         res = exc = None
         try:
             run_hooks = () if hooks is None else tuple(hooks(cfg))
-            res = run_single(cfg, warm_start=warm or None, hooks=run_hooks)
+            res = run_single(cfg, cache=cache, warm_start=warm or None, hooks=run_hooks)
             if run_hooks:
                 res = replace(res, reports=tuple(h.run_report() for h in run_hooks))
         except Exception as e:  # noqa: BLE001 - reported per run to the caller
@@ -849,7 +890,7 @@ def _task_rows(task: _Task, hooks=None):
         yield idx, res, exc
 
 
-def _run_task(task: _Task, hooks=None) -> tuple:
+def _run_task(task: _Task, hooks=None, cache: Union[bool, Path] = False) -> tuple:
     """Pool-worker entry point: one task's rows, failures made picklable.
 
     A batch task also ships this worker's batch-kernel counters for the
@@ -863,7 +904,7 @@ def _run_task(task: _Task, hooks=None) -> tuple:
         STATS.reset()
         stats = STATS
     rows = []
-    for idx, res, exc in _task_rows(task, hooks):
+    for idx, res, exc in _task_rows(task, hooks, cache):
         if exc is not None:
             exc = (repr(exc), "".join(_traceback.format_exception(exc)))
         rows.append((idx, res, exc))
@@ -936,6 +977,11 @@ def run_many(
     campaigns run on the pool too.  Hooks attach to the live kernel, so
     there is nothing to fork or batch: ``hooks`` with ``warm`` or
     ``batch`` raises ValueError.
+
+    With ``$REPRO_RESULT_CACHE`` set, unbatched runs go through a
+    :class:`ResultStore` there (see :func:`run_single`): each run is
+    written as it finishes, and a rerun of the campaign replays it.  The
+    directory is read here, once, so pool workers use the caller's.
     """
     if on_error not in ("raise", "collect"):
         raise ValueError(f'on_error must be "raise" or "collect", got {on_error!r}')
@@ -947,6 +993,9 @@ def run_many(
     force = warm == "always"
     flags = [bool(warm) and (force or warm_profitable(c)) for c in cfgs]
     tasks = _plan(cfgs, workers, flags, batch, chunk_size)
+    # workers keep the environment and working directory they were forked with
+    store_dir = _store_dir(None)
+    cache = False if store_dir is None else store_dir.absolute()
     slots: List[Optional[RunResult]] = [None] * total
     done = 0
 
@@ -973,12 +1022,12 @@ def run_many(
     if workers == 1 or len(tasks) <= 1:
         with _EXEC_LOCK:
             for task in tasks:
-                for row in _task_rows(task, hooks):
+                for row in _task_rows(task, hooks, cache):
                     land(*row)
         return slots  # type: ignore[return-value]
 
     pool = shared_pool(workers)
-    futures = [pool.submit(_run_task, task, hooks) for task in tasks]
+    futures = [pool.submit(_run_task, task, hooks, cache) for task in tasks]
     try:
         for fut in as_completed(futures):
             rows, stats = fut.result()
@@ -1008,32 +1057,14 @@ def aggregate(results: Sequence[RunResult], metric: str) -> Dict[str, float]:
     parroting the lone value, and the key set stays fixed so downstream
     tables keep their columns.
     """
-    if len(results) == 0:
-        raise ValueError("no results to aggregate")
-    if not hasattr(results[0], metric):
-        known = ", ".join(sorted(RunResult.__dataclass_fields__))
-        raise ValueError(f"unknown metric {metric!r}; expected one of: {known}")
-    vals = np.asarray([getattr(r, metric) for r in results], dtype=float)
-    if vals.size > 1:
-        std = float(vals.std(ddof=1))
-        p50 = float(np.percentile(vals, 50.0))
-        p95 = float(np.percentile(vals, 95.0))
-    else:
+    summary = aggregate_columnar(results, (metric,))[metric]
+    if summary["n"] < 2:
         warnings.warn(
             f"aggregate({metric!r}): percentiles of a single replicate are "
             "meaningless; p50/p95 set to NaN (run more replicates)",
             stacklevel=2,
         )
-        std = 0.0
-        p50 = p95 = float("nan")
-    return {
-        "mean": float(vals.mean()),
-        "std": std,
-        "sem": std / float(np.sqrt(vals.size)) if vals.size > 1 else 0.0,
-        "p50": p50,
-        "p95": p95,
-        "n": int(vals.size),
-    }
+    return summary
 
 
 def field_means(results: Sequence, *names: str) -> Dict[str, float]:
@@ -1044,23 +1075,32 @@ def field_means(results: Sequence, *names: str) -> Dict[str, float]:
 def aggregate_columnar(
     results: Sequence[RunResult], metrics: Optional[Sequence[str]] = None
 ) -> Dict[str, Dict[str, float]]:
-    """Summarise *all* numeric metrics over a result set in one pass.
-
-    ``aggregate`` re-walks the result list per metric; over a 500-seed
-    Monte Carlo batch times 14 metrics that is 7000 attribute sweeps.
-    This transposes the results into columnar per-seed arrays once
-    (:func:`repro.metrics.collect.columnar_metrics`) and reduces each
-    column vectorised — same key layout and numerics as ``aggregate``
-    per metric, minus the single-replicate warning (the NaN convention
-    for ``p50``/``p95`` at ``n < 2`` still applies).
-    """
-    from repro.metrics.collect import NUMERIC_METRICS, columnar_metrics, summarize_columnar
+    """``{metric: aggregate(results, metric)}`` for each of ``metrics``
+    (default: every numeric metric, in declaration order), without the
+    single-replicate warning."""
+    from repro.metrics.collect import NUMERIC_METRICS
 
     if len(results) == 0:
         raise ValueError("no results to aggregate")
-    names = tuple(metrics) if metrics is not None else NUMERIC_METRICS
-    for m in names:
-        if not hasattr(results[0], m):
+    out: Dict[str, Dict[str, float]] = {}
+    for metric in NUMERIC_METRICS if metrics is None else metrics:
+        if not hasattr(results[0], metric):
             known = ", ".join(sorted(RunResult.__dataclass_fields__))
-            raise ValueError(f"unknown metric {m!r}; expected one of: {known}")
-    return summarize_columnar(columnar_metrics(results, names))
+            raise ValueError(f"unknown metric {metric!r}; expected one of: {known}")
+        vals = np.asarray([getattr(r, metric) for r in results], dtype=float)
+        if vals.size > 1:
+            std = float(vals.std(ddof=1))
+            p50 = float(np.percentile(vals, 50.0))
+            p95 = float(np.percentile(vals, 95.0))
+        else:
+            std = 0.0
+            p50 = p95 = float("nan")
+        out[metric] = {
+            "mean": float(vals.mean()),
+            "std": std,
+            "sem": std / float(np.sqrt(vals.size)) if vals.size > 1 else 0.0,
+            "p50": p50,
+            "p95": p95,
+            "n": int(vals.size),
+        }
+    return out

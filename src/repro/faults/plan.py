@@ -160,7 +160,7 @@ class FaultPlan:
                 raise ValueError(f"node {ev.node} outside deployment of {n_nodes}: {ev}")
 
     # ------------------------------------------------------------------ #
-    # serialisation (campaign files)
+    # serialisation (a Schedule's ``faults``, the fuzz corpus)
     # ------------------------------------------------------------------ #
     def to_dicts(self) -> List[Dict]:
         return [e.to_dict() for e in self.events]

@@ -11,11 +11,11 @@ re-queueing from the content-addressed checkpoint.  See
 failure/recovery model.
 """
 
+from repro.experiments.runner import ResultStore
 from repro.service.core import CampaignService
 from repro.service.scheduler import CampaignScheduler, SchedulerError
 from repro.service.spec import CampaignSpec, SpecError, result_record
 from repro.service.stats import STATS, ServiceStats
-from repro.service.store import ResultStore
 from repro.service.wire import ServiceClient, ServiceServer, start_server
 
 __all__ = [

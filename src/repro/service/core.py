@@ -38,11 +38,10 @@ from __future__ import annotations
 import asyncio
 from typing import Any, AsyncIterator, Dict, List, Optional
 
-from repro.experiments.runner import RunError, config_hash
+from repro.experiments.runner import ResultStore, RunError, config_hash
 from repro.service.scheduler import CampaignScheduler
 from repro.service.spec import CampaignSpec, SpecError, result_record
 from repro.service.stats import STATS
-from repro.service.store import ResultStore
 
 __all__ = ["CampaignService"]
 
@@ -66,7 +65,7 @@ class CampaignService:
 
     def __init__(
         self,
-        store: Optional[ResultStore] = None,
+        store: ResultStore,
         scheduler: Optional[CampaignScheduler] = None,
         workers: int = 0,
         warm: bool = True,
@@ -160,14 +159,12 @@ class CampaignService:
         """Service, store and warm-snapshot counters in one payload."""
         from repro.experiments.runner import _process_snapshots
 
-        out: Dict[str, Any] = {
+        return {
             "service": STATS.snapshot(),
             "inflight": len(self._inflight),
+            "store": self.store.stats(),
+            "snapshots": _process_snapshots().stats(),
         }
-        if self.store is not None:
-            out["store"] = self.store.stats()
-        out["snapshots"] = _process_snapshots().stats()
-        return out
 
     async def close(self) -> None:
         """Cancel in-flight jobs and wait them out (test/shutdown hygiene)."""
@@ -201,8 +198,6 @@ class CampaignService:
 
     def _stored_results(self, cfgs) -> Optional[list]:
         """Every replicate from the store, or None on any miss."""
-        if self.store is None:
-            return None
         out = []
         for cfg in cfgs:
             res = self.store.get(cfg)

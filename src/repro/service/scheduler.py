@@ -19,7 +19,7 @@ Recovery model, in order of blast radius:
   (:func:`~repro.experiments.runner.shutdown_pool`), re-queues every
   replicate that had not landed, and re-executes on a fresh pool.
   Replicates that completed before the kill were already checkpointed to
-  the :class:`~repro.service.store.ResultStore`, so the retry pass
+  the :class:`~repro.experiments.runner.ResultStore`, so the retry pass
   replays them from disk — zero recomputation, zero loss, and (because
   runs are pure functions of their configs) results byte-identical to an
   uninterrupted campaign.
@@ -46,6 +46,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import (
+    ResultStore,
     RunError,
     RunResult,
     pool_generation,
@@ -53,7 +54,6 @@ from repro.experiments.runner import (
     shutdown_pool,
 )
 from repro.service.stats import STATS
-from repro.service.store import ResultStore
 
 __all__ = ["CampaignScheduler", "SchedulerError"]
 
@@ -117,11 +117,13 @@ class CampaignScheduler:
     def execute(
         self,
         cfgs: Sequence[SimulationConfig],
-        store: Optional[ResultStore] = None,
+        store: ResultStore,
         on_result: Optional[Callable[[int, object, bool], None]] = None,
     ) -> List[Union[RunResult, RunError]]:
         """Run every config; returns results in input order.
 
+        Results already in ``store`` are replayed from it, and every new
+        one is written to it as it lands.
         ``on_result(index, result, cached)`` fires once per *final*
         replicate outcome (store replays included, ``cached=True``);
         re-queued attempts do not fire it.  Slots that still fail after
@@ -148,7 +150,7 @@ class CampaignScheduler:
             # earlier campaign) persisted is served from the store
             pending: List[int] = []
             for i in todo:
-                cached = store.get(cfgs[i]) if store is not None else None
+                cached = store.get(cfgs[i])
                 if cached is not None:
                     STATS.inc("replicate_cache_hits")
                     _land(i, cached, cached=True)
@@ -164,8 +166,7 @@ class CampaignScheduler:
                 if isinstance(res, RunError):
                     return  # retry/surface decided after the pass
                 landed.add(i)
-                if store is not None:
-                    store.put(cfgs[i], res)
+                store.put(cfgs[i], res)
                 STATS.inc("replicates_run")
                 _land(i, res, cached=False)
 

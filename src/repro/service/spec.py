@@ -38,9 +38,8 @@ from repro.experiments.runner import RunResult, config_hash, monte_carlo
 
 __all__ = ["CampaignSpec", "SpecError", "result_record"]
 
-#: RunResult fields a service response carries (the campaign-file record
-#: layout: flat metrics only — positions and the structured traffic
-#: payload stay server-side).
+#: RunResult fields a service response carries: flat metrics only —
+#: positions and the structured traffic payload stay server-side.
 RESULT_FIELDS: Tuple[str, ...] = (
     "protocol",
     "topology",

@@ -35,6 +35,23 @@ def test_fig5_tiny(capsys, monkeypatch):
     assert "Average relay profit" in out
 
 
+def test_fig5_cache_resumes_from_the_store(capsys, tmp_path, monkeypatch):
+    from repro.experiments import figures
+
+    monkeypatch.setattr(figures, "GROUP_SIZES", (10, 20))
+    monkeypatch.chdir(tmp_path)
+    # --cache sets the variable; the setenv/delenv pair has it removed again
+    monkeypatch.setenv("REPRO_RESULT_CACHE", "")
+    monkeypatch.delenv("REPRO_RESULT_CACHE")
+    assert main(["fig5", "--runs", "1", "--cache"]) == 0
+    first = capsys.readouterr().out
+    entries = sorted((tmp_path / "results" / "cache").iterdir())
+    assert entries
+    assert main(["fig5", "--runs", "1", "--cache"]) == 0
+    assert capsys.readouterr().out == first
+    assert sorted((tmp_path / "results" / "cache").iterdir()) == entries
+
+
 def test_unknown_figure_rejected():
     # "bench" included: the benchmark lives in bench/, not in this CLI
     for command in ("fig99", "bench"):

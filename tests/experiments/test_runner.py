@@ -8,6 +8,7 @@ import pytest
 from repro.experiments.config import SimulationConfig
 import repro.experiments.runner as runner
 from repro.experiments.runner import (
+    ResultStore,
     RunError,
     RunResult,
     aggregate,
@@ -151,6 +152,32 @@ class TestResultCache:
         tr = TraceRecorder()
         run_single(cfg, cache=tmp_path, trace=tr)
         assert len(tr) > 0  # a cache hit could never fill the recorder
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_campaign_uses_the_callers_store(self, tmp_path, monkeypatch, workers):
+        # the pool exists before the variable is set, and its workers keep
+        # the environment and working directory they were forked with
+        run_many(monte_carlo(SimulationConfig(protocol="mtmrp", **FAST), 4, batch_seed=3),
+                 workers=2)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_RESULT_CACHE", "store")
+        run_many(monte_carlo(SimulationConfig(protocol="odmrp", **FAST), 4, batch_seed=4),
+                 workers=workers)
+        assert len(ResultStore(tmp_path / "store")) == 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rerun_campaign_resumes_from_the_store(self, tmp_path, monkeypatch, workers):
+        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+        cfgs = monte_carlo(SimulationConfig(protocol="mtmrp", **FAST), 6, batch_seed=5)
+        uncached = run_many(cfgs, workers=workers)
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
+        assert run_many(cfgs[:3], workers=workers) == uncached[:3]
+        first = {p.name: p.stat().st_ino for p in tmp_path.iterdir()}
+        assert run_many(cfgs, workers=workers) == uncached
+        after = {p.name: p.stat().st_ino for p in tmp_path.iterdir()}
+        assert len(first) == 3 and len(after) == 6
+        # the first campaign's entries were replayed, not run and rewritten
+        assert all(after[name] == ino for name, ino in first.items())
 
 
 class TestAggregate:

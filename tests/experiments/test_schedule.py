@@ -18,15 +18,13 @@ import pytest
 from repro.experiments.config import Schedule, SimulationConfig
 from repro.experiments.faults import FaultRunResult, fault_hooks
 from repro.experiments.runner import (
-    _cache_load,
-    _cache_store,
+    ResultStore,
     config_hash,
     run_many,
     run_single,
 )
 from repro.faults.plan import FaultPlan
 from repro.protocols.repair import RepairPolicy
-from repro.service.store import ResultStore
 from repro.sim.batch import batch_eligible
 from repro.sim.snapshot import SnapshotCache, prefix_key
 
@@ -110,10 +108,9 @@ class TestRunManyHooks:
     def test_unhooked_results_survive_the_json_stores(self, tmp_path):
         cfg = SimulationConfig(seed=5, group_size=8, mac="ideal")
         res = run_single(cfg, cache=False)
-        _cache_store(tmp_path / "r.json", res)
-        assert _cache_load(tmp_path / "r.json") == res
         store = ResultStore(tmp_path / "store")
         assert store.put(cfg, res) and store.get(cfg) == res
+        assert run_single(cfg, cache=tmp_path / "store") == res  # a replay
         hooked = run_many([cfg.with_(schedule=Schedule(n_packets=2))], workers=1,
                           hooks=fault_hooks)[0]
-        assert not store.put(cfg, hooked)  # hooked runs stay out of the stores
+        assert not store.put(cfg, hooked)  # results with reports stay out of the store

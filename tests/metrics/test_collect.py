@@ -85,7 +85,7 @@ class TestCollect:
 
 
 class TestColumnarMetrics:
-    """The vectorized per-seed reduction must mirror ``aggregate`` exactly."""
+    """``aggregate_columnar`` must mirror ``aggregate`` exactly."""
 
     def _results(self, n):
         from repro.experiments.config import SimulationConfig
@@ -98,23 +98,13 @@ class TestColumnarMetrics:
         ]
         return run_many(cfgs)
 
-    def test_columns_match_per_result_attributes(self):
-        from repro.metrics.collect import NUMERIC_METRICS, columnar_metrics
-
-        results = self._results(4)
-        cols = columnar_metrics(results)
-        assert set(cols) == set(NUMERIC_METRICS)
-        for name, vals in cols.items():
-            assert vals.shape == (4,)
-            assert vals.tolist() == pytest.approx(
-                [float(getattr(r, name)) for r in results]
-            )
-
     def test_summary_matches_aggregate_exactly(self):
         from repro.experiments.runner import aggregate, aggregate_columnar
+        from repro.metrics.collect import NUMERIC_METRICS
 
         results = self._results(5)
         summary = aggregate_columnar(results)
+        assert list(summary) == list(NUMERIC_METRICS)
         for name, stats in summary.items():
             ref = aggregate(results, name)
             for field in ("mean", "std", "sem", "p50", "p95", "n"):

@@ -42,7 +42,7 @@ class GatedScheduler(CampaignScheduler):
         super().__init__(**kwargs)
         self.gate = gate
 
-    def execute(self, cfgs, store=None, on_result=None):
+    def execute(self, cfgs, store, on_result=None):
         assert self.gate.wait(timeout=60), "test gate never opened"
         return super().execute(cfgs, store=store, on_result=on_result)
 

@@ -1,11 +1,10 @@
-"""Result-store tests: LRU eviction, cache-version invalidation,
-concurrent readers, and the storeable gate."""
+"""Result-store tests: round trips, cache-version invalidation,
+concurrent readers and writers, and the storeable gate."""
 
 from __future__ import annotations
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
-
-import pytest
 
 import repro.experiments.runner as runner_mod
 from repro.experiments.config import SimulationConfig
@@ -28,9 +27,7 @@ class TestRoundTrip:
         assert store.get(cfg) == res
         assert store.path_for(cfg).exists()
         assert len(store) == 1
-        assert store.stats() == {
-            "entries": 1, "hits": 1, "misses": 0, "stores": 1, "evictions": 0,
-        }
+        assert store.stats() == {"hits": 1, "misses": 0, "stores": 1}
 
     def test_miss_counts(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -44,53 +41,6 @@ class TestRoundTrip:
         assert ResultStore.storeable(res) is False
         assert store.put(cfg, res) is False
         assert len(store) == 0
-
-    def test_clear(self, tmp_path):
-        store = ResultStore(tmp_path)
-        cfg = cfg_for(1)
-        store.put(cfg, run_single(cfg))
-        store.clear()
-        assert len(store) == 0 and store.get(cfg) is None
-
-
-class TestLru:
-    def test_eviction_beyond_max_entries(self, tmp_path):
-        store = ResultStore(tmp_path, max_entries=2)
-        cfgs = [cfg_for(s) for s in (1, 2, 3)]
-        results = [run_single(c) for c in cfgs]
-        for c, r in zip(cfgs, results):
-            store.put(c, r)
-        assert len(store) == 2
-        assert store.stats()["evictions"] == 1
-        # oldest entry evicted, newer two intact
-        assert store.get(cfgs[0]) is None
-        assert store.get(cfgs[1]) == results[1]
-        assert store.get(cfgs[2]) == results[2]
-
-    def test_get_refreshes_recency(self, tmp_path):
-        store = ResultStore(tmp_path, max_entries=2)
-        cfgs = [cfg_for(s) for s in (1, 2, 3)]
-        results = [run_single(c) for c in cfgs]
-        store.put(cfgs[0], results[0])
-        store.put(cfgs[1], results[1])
-        assert store.get(cfgs[0]) == results[0]  # 0 is now most recent
-        store.put(cfgs[2], results[2])
-        assert store.get(cfgs[1]) is None        # 1 was the LRU victim
-        assert store.get(cfgs[0]) == results[0]
-
-    def test_recency_survives_reopen(self, tmp_path):
-        store = ResultStore(tmp_path)
-        cfgs = [cfg_for(s) for s in (1, 2)]
-        for c in cfgs:
-            store.put(c, run_single(c))
-        reopened = ResultStore(tmp_path, max_entries=2)
-        assert reopened.stats()["entries"] == 2
-        for c in cfgs:
-            assert reopened.get(c) is not None
-
-    def test_rejects_zero_capacity(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultStore(tmp_path, max_entries=0)
 
 
 class TestCacheVersionInvalidation:
@@ -148,3 +98,24 @@ class TestConcurrency:
             for f in readers:
                 # atomic write-then-rename: every observed value is whole
                 assert all(g == res for g in f.result())
+
+    def test_writers_of_one_entry_never_collide(self, tmp_path):
+        store = ResultStore(tmp_path)
+        cfg = cfg_for(7)
+        res = run_single(cfg)
+
+        def rewrite(_):
+            for _ in range(150):
+                store.put(cfg, res)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(rewrite, range(4), timeout=60))  # re-raises a failed put
+        finally:
+            sys.setswitchinterval(interval)
+        assert store.stats()["stores"] == 600
+        assert store.get(cfg) == res
+        # every writer renamed its own temp file away
+        assert [p.name for p in tmp_path.iterdir()] == [store.path_for(cfg).name]
