@@ -157,6 +157,7 @@ class TestResultCache:
     def test_campaign_uses_the_callers_store(self, tmp_path, monkeypatch, workers):
         # the pool exists before the variable is set, and its workers keep
         # the environment and working directory they were forked with
+        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
         run_many(monte_carlo(SimulationConfig(protocol="mtmrp", **FAST), 4, batch_seed=3),
                  workers=2)
         monkeypatch.chdir(tmp_path)
