@@ -173,17 +173,22 @@ class ResultStore:
         self.stores = 0
         self._lock = threading.Lock()
 
-    def path_for(self, cfg: SimulationConfig) -> Path:
-        return self.root / f"{config_hash(cfg)}.json"
+    def path_for(self, cfg: SimulationConfig, digest: Optional[str] = None) -> Path:
+        """``cfg``'s entry; ``digest`` is its :func:`config_hash`, if known."""
+        return self.root / f"{digest or config_hash(cfg)}.json"
 
     @staticmethod
     def storeable(result: RunResult) -> bool:
         return result.traffic is None and result.positions is None and not result.reports
 
-    def get(self, cfg: SimulationConfig) -> Optional[RunResult]:
-        """The stored result for ``cfg``, or None (counts hits/misses)."""
+    def get(self, cfg: SimulationConfig, digest: Optional[str] = None) -> Optional[RunResult]:
+        """The stored result for ``cfg``, or None (counts hits/misses).
+
+        ``digest``: ``cfg``'s :func:`config_hash`, for a caller that has
+        it already.
+        """
         try:
-            payload = json.loads(self.path_for(cfg).read_text())
+            payload = json.loads(self.path_for(cfg, digest).read_text())
         except (OSError, ValueError):
             payload = None
         with self._lock:
@@ -826,10 +831,12 @@ def _plan(
     ``min(batch, ceil(len(group) / workers))`` seeds so every worker gets
     a share; each ineligible config counts as a batch fallback here.  The
     rest goes out in chunks, since small fast runs drown in per-future
-    IPC when submitted one by one; auto mode aims for ~4 chunks per
-    worker so the tail stays balanced.  Warm items are sorted by prefix
-    key first, so each process's snapshot cache sees a prefix's runs back
-    to back and captures it at most once.
+    IPC when submitted one by one.  Auto chunks shrink (factoring): each
+    takes half of the remaining runs' share per worker, at most 32, down
+    to single runs at the tail, so no worker is left waiting on another's
+    last big chunk (a sweep's runs grow heavier along it).  Warm items
+    are sorted by prefix key first, so each process's snapshot cache sees
+    a prefix's runs back to back.
     """
     items = [(k, c, flags[k]) for k, c in enumerate(cfgs)]
     tasks: List[_Task] = []
@@ -851,9 +858,14 @@ def _plan(
         items = rest
     if any(it[2] for it in items):
         items.sort(key=lambda it: (repr(prefix_key(it[1])) if it[2] else "", it[0]))
-    if chunk_size is None:
-        chunk_size = max(1, min(32, len(items) // (workers * 4)))
-    return tasks + [(False, items[i:i + chunk_size]) for i in range(0, len(items), chunk_size)]
+    if chunk_size is not None:
+        return tasks + [(False, items[i:i + chunk_size]) for i in range(0, len(items), chunk_size)]
+    start = 0
+    while start < len(items):
+        size = max(1, min(32, (len(items) - start) // (workers * 2)))
+        tasks.append((False, items[start:start + size]))
+        start += size
+    return tasks
 
 
 def _task_rows(task: _Task, hooks=None, cache: Union[bool, Path] = False):

@@ -33,6 +33,9 @@ are bit-identical between the two (asserted by
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from dataclasses import is_dataclass
+from heapq import heappush
 from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
@@ -56,10 +59,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Channel"]
 
+# Trace kinds as module globals: an enum member lookup costs ~5x a global
+# read on Python 3.11, and the path emits once per frame and per reception.
+_TX = TraceKind.TX
+_RX = TraceKind.RX
+_COLLISION = TraceKind.COLLISION
+_DROP = TraceKind.DROP
+
 #: Above this fraction of moved nodes, ``update_positions`` rebuilds the
 #: whole sparse index instead of patching affected rows (waypoint mobility
 #: moves nearly everyone per tick, where incremental would only add cost).
 _FULL_REBUILD_FRACTION = 0.4
+
+#: Row arrays of the last sparse geometries this process materialised,
+#: by :meth:`Channel._rows_key` (every grid run of a campaign has the same
+#: positions).  Rows are replace-only, the rule warm-snapshot forks share
+#: them under, so channels on equal geometry share the read-only arrays
+#: and each keeps its own row lists.
+_SHARED_ROWS: "OrderedDict[tuple, tuple]" = OrderedDict()
+_SHARED_ROWS_MAX = 8
 
 
 class Channel:
@@ -151,10 +169,11 @@ class Channel:
         self._tx_energy_cache: dict = {}
         self._rx_energy_cache: dict = {}
 
-        # bound fast path to the kernel queue for the two highest-volume
-        # events (frame completion, TX end) — same ordering semantics as
-        # sim.schedule_fire, minus one call frame per event
-        self._push_fire = sim._queue.push_fire
+        # The reception path pushes its fire-and-forget entries
+        # ``(time, priority, seq, fn, args)`` straight onto the kernel's
+        # heap, consuming one ``seq`` and one live count per entry exactly
+        # as ``EventQueue.push_fire`` does, minus a call frame per event.
+        self._queue = sim._queue
         self._emit = sim.trace.emit
 
         # Direct-finish lane (batch kernel): with a perfect channel, no
@@ -203,10 +222,43 @@ class Channel:
             self._rows_ready = True
 
     def _ensure_rows(self) -> None:
-        """Materialise every sparse neighbor row (idempotent)."""
-        if not self._rows_ready:
-            self._rows_ready = True
-            self._rebuild_rows(np.arange(self.n, dtype=np.intp))
+        """Materialise every sparse neighbor row (idempotent).
+
+        A deterministic geometry this process already materialised reuses
+        that build's row arrays (``_SHARED_ROWS``) in fresh row lists.
+        """
+        if self._rows_ready:
+            return
+        self._rows_ready = True
+        key = self._rows_key()
+        rows = _SHARED_ROWS.get(key) if key is not None else None
+        if rows is not None:
+            _SHARED_ROWS.move_to_end(key)
+            self._neighbor_ids, self._nbr_delays, self._nbr_powers = map(list, rows)
+            return
+        self._rebuild_rows(np.arange(self.n, dtype=np.intp))
+        if key is not None:
+            rows = (tuple(self._neighbor_ids), tuple(self._nbr_delays), tuple(self._nbr_powers))
+            for row in rows:
+                for a in row:
+                    a.flags.writeable = False  # shared: a write would leak across runs
+            _SHARED_ROWS[key] = rows
+            if len(_SHARED_ROWS) > _SHARED_ROWS_MAX:
+                _SHARED_ROWS.popitem(last=False)
+
+    def _rows_key(self) -> Optional[tuple]:
+        """The inputs the sparse rows are a function of; None if not shareable.
+
+        Only the deterministic sparse path shares rows, and only for a
+        dataclass propagation model, whose ``repr`` spells out every
+        parameter.
+        """
+        prop = self.propagation
+        if not (self._sparse and prop.is_deterministic and is_dataclass(prop)):
+            return None
+        pos = self.positions
+        return (type(prop), repr(prop), self.tx_power, self.rx_threshold,
+                self._cell_size, pos.shape, pos.tobytes())
 
     def _rebuild_rows(self, src: np.ndarray) -> None:
         """Recompute neighbor lists for the (sorted) node ids in ``src``.
@@ -424,10 +476,13 @@ class Channel:
         """Broadcast ``packet`` from ``node_id`` to everyone in range.
 
         Called by MAC layers only; protocols go through
-        :meth:`repro.net.node.Node.send`.
+        :meth:`repro.net.node.Node.send`.  Each live receiver's arrival
+        entry goes straight onto the kernel heap, one ``seq`` per receiver
+        in delivery-list order, so equal arrival times fire in that order.
+        The frame's RX energy is computed here, once, and rides in the
+        arrival's arguments.
         """
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         nodes = self._nodes
         node = nodes[node_id] if nodes else None
         if node is not None and (not node.alive or node.asleep):
@@ -437,54 +492,50 @@ class Channel:
             return
         bits = packet.size_bits()
         duration = bits / self.bitrate_bps
+        queue = self._queue
         direct = self.direct_finish and self.loss is None and nodes
         if not direct:
             radio = self.radios[node_id]
             radio.begin_tx(now, duration)
             end = now + duration
-            self._push_fire(end, radio.end_tx, (end,), -1)
+            queue.push_fire(end, radio.end_tx, (end,), -1)
 
         self.frames_sent += 1
-        self._emit(now, TraceKind.TX, node_id, packet.ptype, packet.uid)
+        self._emit(now, _TX, node_id, packet.ptype, packet.uid)
         if node is not None:
             e = self._tx_energy_cache.get(bits)
             if e is None:
                 e = self._tx_energy_cache[bits] = self.energy_model.tx_energy(bits)
             node.energy.charge_tx(e)
+        e_rx = self._rx_energy_cache.get(bits)
+        if e_rx is None:
+            e_rx = self._rx_energy_cache[bits] = self.energy_model.rx_energy(bits)
 
         delivery = self._delivery[node_id]
         if delivery is None:
             delivery = self._delivery_list(node_id)
+        heap = queue._heap
+        # read after the TX charge: a depletion callback may have pushed
+        seq = first = queue._seq
         if direct:
             # one event per delivery, scheduled at the exact instant the
             # classic arrive->finish chain would have finished:
             # (now + delay) + duration, same float fold, same priority
             finish_direct = self._finish_direct
-            self.sim._queue.push_many(
-                [
-                    ((now + delay) + duration, finish_direct, (rnode, nbr, packet))
-                    for nbr, delay, power, radio, rnode in delivery
-                    if rnode.alive and not rnode.asleep
-                ],
-                1,
-            )
-            return
-        arrive = self._arrive
-        loss = self.loss
-        if loss is None:
-            if nodes:
+            for nbr, delay, power, radio, rnode in delivery:
+                if rnode.alive and not rnode.asleep:
+                    heappush(heap, ((now + delay) + duration, 1, seq, finish_direct,
+                                    (rnode, nbr, packet, e_rx)))
+                    seq += 1
+        elif self.loss is None:
+            arrive = self._arrive
+            for nbr, delay, power, radio, rnode in delivery:
                 # Dead or sleeping neighbors would discard the frame in
                 # _finish anyway — skip their events entirely.
-                entries = [
-                    (delay, arrive, (radio, rnode, nbr, packet, power, duration, False))
-                    for nbr, delay, power, radio, rnode in delivery
-                    if rnode.alive and not rnode.asleep
-                ]
-            else:
-                entries = [
-                    (delay, arrive, (radio, rnode, nbr, packet, power, duration, False))
-                    for nbr, delay, power, radio, rnode in delivery
-                ]
+                if rnode is None or (rnode.alive and not rnode.asleep):
+                    heappush(heap, (now + delay, 0, seq, arrive, (
+                        radio, rnode, nbr, packet, power, duration, False, e_rx)))
+                    seq += 1
         else:
             # batch the loss draws over the whole delivery list (the
             # i.i.d. model vectorises; others fall back to the scalar
@@ -498,19 +549,21 @@ class Channel:
                     dsts = self._delivery_dsts[node_id] = [e[0] for e in delivery]
             else:
                 dsts = [e[0] for e in live]
-            fates = loss.frame_lost_batch(node_id, dsts)
-            entries = [
-                (delay, arrive, (radio, rnode, nbr, packet, power, duration, lost))
-                for (nbr, delay, power, radio, rnode), lost in zip(live, fates)
-            ]
-        sim.schedule_many(entries)
+            fates = self.loss.frame_lost_batch(node_id, dsts)
+            arrive = self._arrive
+            for (nbr, delay, power, radio, rnode), lost in zip(live, fates):
+                heappush(heap, (now + delay, 0, seq, arrive, (
+                    radio, rnode, nbr, packet, power, duration, lost, e_rx)))
+                seq += 1
+        queue._live += seq - first
+        queue._seq = seq
 
     # ------------------------------------------------------------------ #
     # reception pipeline
     # ------------------------------------------------------------------ #
     def _arrive(
         self, radio: Radio, node, nbr_id: int, packet: "Packet",
-        power: float, duration: float, lost: bool = False,
+        power: float, duration: float, lost: bool, e_rx: float,
     ) -> None:
         now = self.sim.now
         rec = radio.begin_reception(packet, now, duration, power)
@@ -518,10 +571,16 @@ class Channel:
             # The garbled signal still occupies the radio (carrier sense,
             # collision bookkeeping) but can never decode.
             rec.intact = False
-        self._push_fire(now + duration, self._finish, (radio, node, nbr_id, rec, lost), 1)
+        # the finish entry, pushed inline: priority 1, one seq
+        queue = self._queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        queue._live += 1
+        heappush(queue._heap, (now + duration, 1, seq, self._finish,
+                               (radio, node, nbr_id, rec, lost, e_rx)))
 
     def _finish(self, radio: Radio, node, nbr_id: int, rec: Reception,
-                lost: bool = False) -> None:
+                lost: bool, e_rx: float) -> None:
         now = self.sim.now
         ok = radio.finish_reception(rec, now)
         packet: "Packet" = rec.frame
@@ -534,28 +593,24 @@ class Channel:
                 # hears the frame (the arrival was scheduled while it was
                 # still up).
                 return
-            bits = packet.size_bits()
-            e = self._rx_energy_cache.get(bits)
-            if e is None:
-                e = self._rx_energy_cache[bits] = self.energy_model.rx_energy(bits)
             # inline EnergyAccount.charge_rx — once per surviving arrival
             en = node.energy
-            en.rx_joules += e
+            en.rx_joules += e_rx
             if not en.depleted and en.tx_joules + en.rx_joules >= en.initial_joules:
                 en._check()
         if lost:
             self.frames_lost += 1
-            self._emit(now, TraceKind.DROP, nbr_id, packet.ptype, "loss")
+            self._emit(now, _DROP, nbr_id, packet.ptype, "loss")
         elif ok or self.perfect:
             self.frames_delivered += 1
-            self._emit(now, TraceKind.RX, nbr_id, packet.ptype, packet.uid)
+            self._emit(now, _RX, nbr_id, packet.ptype, packet.uid)
             if node is not None:
                 node.on_packet_received(packet)
         else:
             self.frames_collided += 1
-            self._emit(now, TraceKind.COLLISION, nbr_id, packet.ptype, packet.uid)
+            self._emit(now, _COLLISION, nbr_id, packet.ptype, packet.uid)
 
-    def _finish_direct(self, node, nbr_id: int, packet: "Packet") -> None:
+    def _finish_direct(self, node, nbr_id: int, packet: "Packet", e_rx: float) -> None:
         """Frame completion on the direct lane (perfect, lossless, no radio).
 
         Mirrors the surviving-reception branch of :meth:`_finish` —
@@ -563,17 +618,12 @@ class Channel:
         dispatch — with the reception bookkeeping elided (its only
         output, the collision verdict, is overridden by ``perfect``).
         """
-        now = self.sim.now
         if not node.alive or node.asleep:
             return
-        bits = packet.size_bits()
-        e = self._rx_energy_cache.get(bits)
-        if e is None:
-            e = self._rx_energy_cache[bits] = self.energy_model.rx_energy(bits)
         en = node.energy
-        en.rx_joules += e
+        en.rx_joules += e_rx
         if not en.depleted and en.tx_joules + en.rx_joules >= en.initial_joules:
             en._check()
         self.frames_delivered += 1
-        self._emit(now, TraceKind.RX, nbr_id, packet.ptype, packet.uid)
+        self._emit(self.sim.now, _RX, nbr_id, packet.ptype, packet.uid)
         node.on_packet_received(packet)

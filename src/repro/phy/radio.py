@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, List, Optional
+from typing import Any, List
 
 __all__ = ["RadioState", "Reception", "Radio"]
 
@@ -32,6 +32,13 @@ class RadioState(Enum):
     IDLE = "idle"
     TX = "tx"
     RX = "rx"
+
+
+# The states as module globals: an enum member lookup costs ~5x a global
+# read on Python 3.11, and Radio tests its state on every reception.
+_IDLE = RadioState.IDLE
+_TX = RadioState.TX
+_RX = RadioState.RX
 
 
 @dataclass(slots=True, eq=False)
@@ -59,7 +66,7 @@ class Radio:
 
     node_id: int
     capture_threshold_db: float = 10.0
-    state: RadioState = RadioState.IDLE
+    state: RadioState = _IDLE
     tx_until: float = 0.0
     receptions: List[Reception] = field(default_factory=list)
     #: retired Reception objects recycled by begin_reception — the channel
@@ -72,18 +79,18 @@ class Radio:
     # ------------------------------------------------------------------ #
     def begin_tx(self, now: float, duration: float) -> None:
         """Enter TX state; doom any reception in progress (half duplex)."""
-        self.state = RadioState.TX
+        self.state = _TX
         self.tx_until = now + duration
         for rec in self.receptions:
             rec.intact = False
 
     def end_tx(self, now: float) -> None:
         """Leave TX state."""
-        if self.state is RadioState.TX:
-            self.state = RadioState.RX if self._live(now) else RadioState.IDLE
+        if self.state is _TX:
+            self.state = _RX if self._live(now) else _IDLE
 
     def is_transmitting(self, now: float) -> bool:
-        return self.state is RadioState.TX and now < self.tx_until
+        return self.state is _TX and now < self.tx_until
 
     # ------------------------------------------------------------------ #
     # receive side
@@ -104,10 +111,10 @@ class Radio:
             rec.intact = True
         else:
             rec = Reception(frame=frame, start=now, end=now + duration, power=power)
-        if self.state is RadioState.TX and now < self.tx_until:
+        if self.state is _TX and now < self.tx_until:
             rec.intact = False
         else:
-            # inline _locked(): the first intact in-flight reception
+            # the reception the radio is locked on: the first intact in-flight one
             locked = None
             for r in self.receptions:
                 if r.end > now and r.intact:
@@ -123,8 +130,8 @@ class Radio:
                     locked.intact = False  # comparable powers: both garbled
                     rec.intact = False
         self.receptions.append(rec)
-        if self.state is RadioState.IDLE:
-            self.state = RadioState.RX
+        if self.state is _IDLE:
+            self.state = _RX
         return rec
 
     def finish_reception(self, rec: Reception, now: float) -> bool:
@@ -134,20 +141,20 @@ class Radio:
             receptions.remove(rec)
         except ValueError:  # pragma: no cover - defensive
             return False
-        if self.state is RadioState.RX:
+        if self.state is _RX:
             for r in receptions:
                 if r.end > now:
                     break
             else:
-                self.state = RadioState.IDLE
-        return rec.intact and not (self.state is RadioState.TX and now < self.tx_until)
+                self.state = _IDLE
+        return rec.intact and not (self.state is _TX and now < self.tx_until)
 
     # ------------------------------------------------------------------ #
     # carrier sense
     # ------------------------------------------------------------------ #
     def medium_busy(self, now: float) -> bool:
         """True if this node senses the medium busy (own TX or any arrival)."""
-        if self.state is RadioState.TX and now < self.tx_until:
+        if self.state is _TX and now < self.tx_until:
             return True
         for r in self.receptions:
             if r.end > now:
@@ -164,13 +171,6 @@ class Radio:
 
     def _live(self, now: float) -> bool:
         return any(r.end > now for r in self.receptions)
-
-    def _locked(self, now: float) -> Optional[Reception]:
-        """The intact in-flight reception the radio is synchronised to."""
-        for r in self.receptions:
-            if r.end > now and r.intact:
-                return r
-        return None
 
 
 def _log10(x: float) -> float:

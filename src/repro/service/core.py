@@ -49,12 +49,14 @@ __all__ = ["CampaignService"]
 class _Job:
     """One executing campaign and its subscriber fan-out."""
 
-    __slots__ = ("spec", "key", "configs", "subscribers", "task", "done_event")
+    __slots__ = ("spec", "key", "configs", "hashes", "subscribers", "task", "done_event")
 
-    def __init__(self, spec: CampaignSpec, key: str) -> None:
+    def __init__(self, spec: CampaignSpec, key: str, configs, hashes: List[str]) -> None:
         self.spec = spec
         self.key = key
-        self.configs = spec.configs()
+        self.configs = configs
+        #: each replicate's config_hash, in replicate order
+        self.hashes = hashes
         self.subscribers: List[asyncio.Queue] = []
         self.task: Optional[asyncio.Task] = None
         self.done_event: Optional[Dict[str, Any]] = None
@@ -98,30 +100,33 @@ class CampaignService:
             STATS.inc("spec_errors")
             raise
         STATS.inc("requests")
-        key = spec.key()
+        # one expansion and one hash per replicate serve the key, the
+        # store lookups and the accepted event
         cfgs = spec.configs()
+        hashes = [config_hash(cfg) for cfg in cfgs]
+        key = spec.key(hashes)
         queue: asyncio.Queue = asyncio.Queue()
         async with self._lock:
             job = self._inflight.get(key)
             if job is not None:
                 STATS.inc("coalesced")
                 job.subscribers.append(queue)
-                accepted = self._accepted(spec, key, coalesced=True)
+                accepted = self._accepted(spec, key, cfgs, coalesced=True)
             else:
-                stored = self._stored_results(cfgs)
+                stored = self._stored_results(cfgs, hashes)
                 if stored is not None:
                     STATS.inc("cache_hits")
                     job = None
                 else:
                     STATS.inc("executions")
-                    job = _Job(spec, key)
+                    job = _Job(spec, key, cfgs, hashes)
                     job.subscribers.append(queue)
                     self._inflight[key] = job
                     job.task = asyncio.create_task(self._run_job(job))
-                    accepted = self._accepted(spec, key, coalesced=False)
+                    accepted = self._accepted(spec, key, cfgs, coalesced=False)
         if job is None:
             # full store hit: the whole campaign replays from disk
-            yield self._accepted(spec, key, cached=True)
+            yield self._accepted(spec, key, cfgs, cached=True)
             yield {
                 "event": "done",
                 "spec_key": key,
@@ -185,22 +190,23 @@ class CampaignService:
     # internals
     # ------------------------------------------------------------------ #
     def _accepted(
-        self, spec: CampaignSpec, key: str, coalesced: bool = False, cached: bool = False
+        self, spec: CampaignSpec, key: str, cfgs, coalesced: bool = False,
+        cached: bool = False,
     ) -> Dict[str, Any]:
         return {
             "event": "accepted",
             "spec_key": key,
-            "replicates": len(spec.configs()),
+            "replicates": len(cfgs),
             "coalesced": coalesced,
             "cached": cached,
-            "prefix_signature": spec.prefix_signature(),
+            "prefix_signature": spec.prefix_signature(cfgs),
         }
 
-    def _stored_results(self, cfgs) -> Optional[list]:
+    def _stored_results(self, cfgs, hashes: List[str]) -> Optional[list]:
         """Every replicate from the store, or None on any miss."""
         out = []
-        for cfg in cfgs:
-            res = self.store.get(cfg)
+        for cfg, digest in zip(cfgs, hashes):
+            res = self.store.get(cfg, digest)
             if res is None:
                 return None
             out.append(res)
@@ -225,7 +231,7 @@ class CampaignService:
                 "done": progress[0],
                 "total": total,
                 "seed": job.configs[i].seed,
-                "config_hash": config_hash(job.configs[i]),
+                "config_hash": job.hashes[i],
                 "cached": cached,
                 "error": str(res) if isinstance(res, RunError) else None,
             }
@@ -243,7 +249,7 @@ class CampaignService:
                     errors.append(
                         {
                             "index": i,
-                            "config_hash": config_hash(job.configs[i]),
+                            "config_hash": job.hashes[i],
                             "message": str(res),
                         }
                     )

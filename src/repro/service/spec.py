@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import RunResult, config_hash, monte_carlo
@@ -131,29 +131,36 @@ class CampaignSpec:
             return (self.config,)
         return tuple(monte_carlo(self.config, self.replicates, self.batch_seed))
 
-    def key(self) -> str:
+    def key(self, hashes: Optional[Sequence[str]] = None) -> str:
         """Canonical campaign identity: the per-replicate content-hash chain.
 
         Built from :func:`config_hash` (which folds in ``CACHE_VERSION``),
         so any two payloads expanding to the same run list share a key
-        and dedupe against the same result-store entries.
+        and dedupe against the same result-store entries.  ``hashes``:
+        the replicates' config hashes, for a caller that has them already.
         """
+        if hashes is None:
+            hashes = [config_hash(cfg) for cfg in self.configs()]
         h = hashlib.sha256()
-        for cfg in self.configs():
-            h.update(config_hash(cfg).encode())
+        for digest in hashes:
+            h.update(digest.encode())
         return h.hexdigest()
 
-    def prefix_signature(self) -> Dict[str, int]:
+    def prefix_signature(
+        self, cfgs: Optional[Sequence[SimulationConfig]] = None
+    ) -> Dict[str, int]:
         """Warm-start shape: distinct prefixes vs total replicates.
 
         ``{"prefixes": p, "replicates": n}`` — a campaign with ``p << n``
         (paired sweeps at shared seeds) amortises snapshot forks; the
         scheduler reports this, it does not gate on it
         (:func:`~repro.sim.snapshot.warm_profitable` decides per run).
+        ``cfgs``: the expansion, for a caller that has it already.
         """
         from repro.sim.snapshot import prefix_key
 
-        cfgs = self.configs()
+        if cfgs is None:
+            cfgs = self.configs()
         return {
             "prefixes": len({prefix_key(c) for c in cfgs}),
             "replicates": len(cfgs),

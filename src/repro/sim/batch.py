@@ -736,6 +736,8 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
                     pkt = HelloPacket(src=i, uid=uid, groups=frozenset(node_obj.groups))
                 delays_i = nbr_delays[i]
                 powers_i = nbr_powers[i]
+                # the frame's RX energy, as transmit computes it once
+                e_rx_i = e_rx[bits[i]]
                 if has_draws:
                     # the frame fired pre-boundary, so its fates are in
                     # the pre-sampled block at its fire rank's offset
@@ -755,7 +757,8 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
                     if arr > warmup:
                         events.append(
                             (arr, 0, f, c, i, ch._arrive,
-                             (radio_j, node_j, j, pkt, float(powers_i[c]), dur, lost_c))
+                             (radio_j, node_j, j, pkt, float(powers_i[c]), dur, lost_c,
+                              e_rx_i))
                         )
                     else:
                         rec = radio_j.begin_reception(pkt, arr, dur, float(powers_i[c]))
@@ -765,7 +768,7 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
                             rec.intact = False
                         events.append(
                             (fin, 1, arr, c, i, ch._finish,
-                             (radio_j, node_j, j, rec, lost_c))
+                             (radio_j, node_j, j, rec, lost_c, e_rx_i))
                         )
 
     events.sort(key=lambda e: e[:5])

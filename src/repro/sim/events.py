@@ -23,7 +23,7 @@ skipped on pop.  This is the standard trick to keep both ``schedule`` and
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 __all__ = ["Event", "EventQueue"]
 
@@ -140,9 +140,11 @@ class EventQueue:
 
         Same ordering semantics as :meth:`push` (one ``seq`` consumed),
         but no :class:`Event` is allocated — the heap entry carries the
-        callable directly.  This is the cheapest way to schedule the
-        bulk radio events (frame arrivals/completions) that are never
-        cancelled.
+        callable directly.  This is the cheapest call for events that
+        are never cancelled (TX ends, MAC timers).  The channel's
+        per-receiver arrivals and finishes skip even this call: they push
+        the same entry shape onto ``_heap`` themselves, taking one
+        ``seq`` and one ``_live`` count each.
         """
         if time != time:
             raise ValueError("event time is NaN")
@@ -150,43 +152,6 @@ class EventQueue:
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, priority, seq, fn, args))
         self._live += 1
-
-    def push_many(
-        self,
-        items: Iterable[Tuple[float, Callable[..., Any], tuple]],
-        priority: int = 0,
-    ) -> None:
-        """Batch-schedule ``(time, fn, args)`` items sharing one priority.
-
-        Equivalent to calling :meth:`push` per item (same ``seq``
-        assignment order, hence identical tie-breaking) with less per-call
-        overhead.  The events are fire-and-forget: no handles are returned
-        (and no :class:`Event` objects allocated), so use :meth:`push` for
-        anything that may need cancelling.
-
-        The batch is *atomic with respect to validation*: every timestamp
-        is checked before the first entry touches the heap, so a NaN
-        mid-batch leaves the queue exactly as it was.  (Pushing first and
-        raising mid-loop would strand entries in the heap without
-        advancing ``_seq``/``_live`` — later pushes would then reuse
-        sequence numbers, breaking the stable FIFO tie-break and, worse,
-        letting heap comparisons reach slot 3 where an :class:`Event` and
-        a bare callable don't compare.)
-        """
-        staged = []
-        append = staged.append
-        seq = self._seq
-        for time, fn, args in items:
-            if time != time:
-                raise ValueError("event time is NaN")
-            append((time, priority, seq, fn, args))
-            seq += 1
-        heap = self._heap
-        heappush = heapq.heappush
-        for entry in staged:
-            heappush(heap, entry)
-        self._seq = seq
-        self._live += len(staged)
 
     def cancel(self, ev: Event) -> None:
         """Cancel a previously pushed event.  Safe to call twice."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import gc
 import heapq
-from typing import Any, Callable, Iterable, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RngRegistry
@@ -102,8 +102,8 @@ class Simulator:
 
         Identical ordering semantics to :meth:`schedule`, but nothing is
         returned and no :class:`Event` is allocated — use it for the
-        high-volume events (frame arrivals, reception completions, MAC
-        timers) that are never cancelled.
+        high-volume events (MAC timers, protocol jitter) that are never
+        cancelled.
         """
         if not delay >= 0:
             raise SimulationError(f"invalid delay {delay!r}")
@@ -120,28 +120,6 @@ class Simulator:
         if not time >= self.now:  # rejects the past AND NaN
             raise SimulationError(f"cannot schedule at {time!r} < now {self.now}")
         return self._queue.push(time, fn, args, priority)
-
-    def schedule_many(
-        self,
-        items: Iterable[Tuple[float, Callable[..., Any], tuple]],
-        priority: int = 0,
-    ) -> None:
-        """Batch-schedule ``(delay, fn, args)`` items sharing one priority.
-
-        Semantically identical to calling :meth:`schedule` once per item —
-        same sequence-number assignment, hence identical tie-breaking — but
-        cheaper, and fire-and-forget: no :class:`Event` handles are
-        created for the caller, so none of these can be cancelled.  This is
-        the channel's fan-out fast path (one frame → many deliveries).
-        """
-        now = self.now
-        entries = []
-        append = entries.append
-        for delay, fn, args in items:
-            if not delay >= 0:
-                raise SimulationError(f"invalid delay {delay!r}")
-            append((now + delay, fn, args))
-        self._queue.push_many(entries, priority)
 
     def cancel(self, ev: Event) -> None:
         """Cancel a pending event (no-op if already cancelled or fired)."""

@@ -11,11 +11,12 @@ Query performance: the recorder maintains *lazy incremental indexes* —
 per-``(kind, packet_type)`` record-position lists and node-set caches —
 built the first time a query runs and extended in place as new records
 arrive.  ``emit`` (the hot path: one call per radio event) stays a plain
-counter bump + list append; ``count``/``nodes_with``/``filter`` no longer
-scan the full record list on every call.  A writer appending a block of
-one ``(kind, packet_type)`` — the batch kernel's warmup HELLO
-transmissions, ~9,000 per seed — hands it to ``extend_indexed``, which
-extends the indexes once per block instead of once per record.
+counter bump (``dict.get`` and a C-level store) + list append;
+``count``/``nodes_with``/``filter`` no longer scan the full record list on
+every call.  A writer appending a block of one ``(kind, packet_type)`` —
+the batch kernel's warmup HELLO transmissions, ~9,000 per seed — hands it
+to ``extend_indexed``, which extends the indexes once per block instead
+of once per record.
 """
 
 from __future__ import annotations
@@ -78,6 +79,22 @@ _IxKey = Tuple[TraceKind, Optional[str]]
 _tuple_new = tuple.__new__
 
 
+class _Counts(Counter):
+    """A :class:`~collections.Counter` whose item store runs at dict speed.
+
+    ``Counter`` defines ``__delitem__`` in Python, which makes CPython
+    route every ``counts[key] = n`` through a generic slot that looks up
+    ``__setitem__`` by name (~165 ns against ~45 ns for a dict).  Binding
+    ``__delitem__`` back to dict's own restores the C-level store that
+    :meth:`TraceRecorder.emit` bumps once per record; every other Counter
+    behaviour (missing keys read 0, ``update`` adds) is unchanged, except
+    that deleting a missing key raises ``KeyError`` as it does on a dict.
+    """
+
+    __slots__ = ()
+    __delitem__ = dict.__delitem__
+
+
 class TraceRecorder:
     """Accumulates :class:`TraceRecord` objects and running counters.
 
@@ -103,7 +120,7 @@ class TraceRecorder:
         counters_only: bool = False,
     ) -> None:
         self.records: List[TraceRecord] = []
-        self.counts: Counter = Counter()
+        self.counts: Counter = _Counts()
         self._enabled = set(enabled_kinds) if enabled_kinds is not None else None
         self.counters_only = bool(counters_only)
         # lazy incremental indexes: positions into ``records`` and node
@@ -125,7 +142,9 @@ class TraceRecorder:
         detail: Any = None,
     ) -> None:
         """Record one event."""
-        self.counts[(kind, packet_type)] += 1
+        counts = self.counts
+        key = (kind, packet_type)
+        counts[key] = counts.get(key, 0) + 1
         if self.counters_only:
             return
         if self._enabled is None or kind in self._enabled:

@@ -464,6 +464,21 @@ class TestPlanner:
         assert _batch_stats() == serial_stats
         assert serial_stats[0] > 0
 
+    @pytest.mark.parametrize("n, workers", [(48, 2), (20, 2), (1000, 4), (7, 4), (1, 2)])
+    def test_auto_chunks_shrink_to_single_runs(self, n, workers):
+        cfgs = [ELIGIBLE.with_(seed=s) for s in range(n)]
+        tasks = runner._plan(cfgs, workers, [False] * n, 0, None)
+        assert not any(batched for batched, _ in tasks)
+        # every index once, in input order
+        assert [it[0] for _, items in tasks for it in items] == list(range(n))
+        sizes = [len(items) for _, items in tasks]
+        assert all(a >= b for a, b in zip(sizes, sizes[1:])) and sizes[0] <= 32
+        tail = min(n, workers)
+        assert sizes[-tail:] == [1] * tail
+        # an explicit chunk_size still overrides
+        fixed = runner._plan(cfgs, workers, [False] * n, 0, 5)
+        assert [len(items) for _, items in fixed] == [5] * (n // 5) + [n % 5] * (n % 5 > 0)
+
     @pytest.mark.parametrize("batch", [0, 4], ids=["one_run", "one_seed_batch_group"])
     def test_one_task_plan_runs_in_process(self, two_cpus, monkeypatch, batch):
         expected = run_many([ELIGIBLE], workers=1, batch=batch)

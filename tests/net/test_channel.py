@@ -1,14 +1,19 @@
 """Unit tests for the wireless channel."""
 
+import heapq
+
 import numpy as np
 import pytest
 
+import repro.net.channel as channel_mod
+from repro.experiments.config import SimulationConfig
 from repro.mac.ideal import IdealMac
 from repro.net.channel import Channel
 from repro.net.network import Network
 from repro.net.packet import DataPacket
 from repro.net.topology import grid_topology
 from repro.sim.kernel import Simulator
+from repro.sim.snapshot import build_prefix
 from repro.sim.trace import TraceKind
 
 
@@ -107,3 +112,55 @@ def test_attach_nodes_size_mismatch():
     ch = Channel(sim, grid_topology(2, 2, 40.0), comm_range=40.0)
     with pytest.raises(ValueError):
         ch.attach_nodes([])
+
+
+def test_transmit_takes_one_seq_per_live_receiver_in_delivery_order():
+    """Arrival entries go straight onto the heap: one seq per live
+    receiver, in delivery-list order, so equal arrival times fire in it."""
+    sim = Simulator(seed=1)
+    # four receivers at exactly 30 m: bit-equal delays, one arrival instant
+    pos = np.array([[0.0, 0.0], [30.0, 0.0], [-30.0, 0.0], [0.0, 30.0], [0.0, -30.0]])
+    net = Network(sim, pos, comm_range=40.0, mac_factory=IdealMac, perfect_channel=True)
+    net.node(3).fail()
+    queue = sim._queue
+    seq0 = queue._seq
+    net.channel.transmit(0, DataPacket(src=0))
+    delivery = [entry[0] for entry in net.channel._delivery[0]]
+    live = [nbr for nbr in delivery if nbr != 3]
+    assert delivery == [1, 2, 3, 4] and live == [1, 2, 4]
+    arrivals = sorted((e for e in queue._heap if e[3].__name__ == "_arrive"), key=lambda e: e[2])
+    assert [e[4][2] for e in arrivals] == live
+    # end_tx takes seq0, then one seq per live receiver
+    assert [e[2] for e in arrivals] == [seq0 + 1, seq0 + 2, seq0 + 3]
+    assert queue._seq == seq0 + 1 + len(live)
+    assert len(queue) == 1 + len(live)
+    assert len({e[0] for e in arrivals}) == 1
+    sim.run()
+    assert [r.node for r in sim.trace.filter(TraceKind.RX)] == live
+
+
+def test_inline_pushes_keep_the_queue_counts(monkeypatch):
+    """A CSMA run cut mid-flight: the live count matches the heap, and
+    every push, inline or through the queue, took the next seq."""
+    pushed = []
+    real_push = heapq.heappush
+
+    def counting_push(heap, entry):
+        pushed.append(entry[2])
+        real_push(heap, entry)
+
+    monkeypatch.setattr(heapq, "heappush", counting_push)
+    monkeypatch.setattr(channel_mod, "heappush", counting_push)
+    cfg = SimulationConfig(protocol="mtmrp", topology="grid", group_size=8, seed=5,
+                           mac="csma", hello_phase=True, hello_warmup=1.0)
+    prefix = build_prefix(cfg)
+    sim, queue = prefix.sim, prefix.sim._queue
+    in_flight = 0
+    for k in range(1, 41):
+        sim.run(until=1.0 + 0.0005 * k)
+        heap = queue._heap
+        assert len(queue) == sum(1 for e in heap if e[4] is not None or not e[3].cancelled)
+        assert pushed == list(range(queue._seq))
+        in_flight += sum(1 for e in heap if getattr(e[3], "__name__", "") in ("_arrive", "_finish"))
+    assert in_flight > 0
+    prefix.net.close()

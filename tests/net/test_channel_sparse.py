@@ -13,7 +13,8 @@ from repro.mac.ideal import IdealMac
 from repro.net.channel import Channel
 from repro.net.network import Network
 from repro.net.packet import DataPacket
-from repro.net.topology import random_topology
+from repro.net.topology import grid_topology, random_topology
+from repro.phy.propagation import LogDistance
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceKind
 
@@ -105,3 +106,37 @@ def test_dead_and_sleeping_neighbors_get_no_delivery_events():
     assert sim.pending - before == 2
     sim.run()
     assert sim.trace.nodes_with(TraceKind.RX) == {3}
+
+
+def test_equal_geometry_shares_row_arrays_per_process():
+    """A second channel on equal positions reuses the first one's row
+    arrays in lists of its own; moving nodes on one leaves the other's."""
+    pos = grid_topology(8, 8, 7 * 22.2)
+    a = Channel(Simulator(seed=1), pos.copy(), comm_range=40.0)
+    a._ensure_rows()
+    b = Channel(Simulator(seed=2), pos.copy(), comm_range=40.0)
+    b._ensure_rows()
+    assert b._neighbor_ids is not a._neighbor_ids
+    for rows in ("_neighbor_ids", "_nbr_delays", "_nbr_powers"):
+        for ra, rb in zip(getattr(a, rows), getattr(b, rows)):
+            assert rb is ra and not ra.flags.writeable
+    shared = list(b._neighbor_ids)
+    before = [row.tolist() for row in shared]
+    moved = pos.copy()
+    moved[0] += 15.0
+    a.update_positions(moved)
+    assert a.neighbors(0).tolist() != before[0]
+    assert a._neighbor_ids[0] is not shared[0]
+    assert all(row is old for row, old in zip(b._neighbor_ids, shared))
+    assert [row.tolist() for row in b._neighbor_ids] == before
+    # a third channel on the original positions gets the untouched rows
+    c = Channel(Simulator(seed=3), pos.copy(), comm_range=40.0)
+    assert [c.neighbors(i).tolist() for i in range(c.n)] == before
+
+
+def test_stochastic_geometry_is_not_shared():
+    pos = _positions(40)
+    prop = LogDistance(shadowing_sigma_db=4.0, rng=np.random.default_rng(1))
+    a = Channel(Simulator(seed=1), pos, comm_range=40.0, propagation=prop, sparse=True)
+    assert a._rows_key() is None
+    assert Channel(Simulator(seed=1), pos, comm_range=40.0)._rows_key() is not None

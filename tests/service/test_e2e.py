@@ -136,6 +136,35 @@ class TestDedupeAndCoalescing:
         assert reg.counters["service_cache_hits"] == 1
         assert reg.counters["service_requests"] == 2
 
+    def test_store_hit_expands_once_and_hashes_each_replicate_once(self, tmp_path, monkeypatch):
+        import repro.experiments.runner as runner_mod
+        import repro.service.core as core_mod
+        import repro.service.spec as spec_mod
+
+        service = make_service(tmp_path)
+        p = payload(replicates=50)
+        cfgs = CampaignSpec.from_payload(p).configs()
+        res = run_single(cfgs[0], cache=False)
+        for cfg in cfgs:
+            service.store.put(cfg, res)
+        calls = {"monte_carlo": 0, "config_hash": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(spec_mod, "monte_carlo", counting("monte_carlo", spec_mod.monte_carlo))
+        hashed = counting("config_hash", runner_mod.config_hash)
+        for mod in (runner_mod, spec_mod, core_mod):
+            monkeypatch.setattr(mod, "config_hash", hashed)
+        events = asyncio.run(collect_events(service, p))
+        assert [ev["event"] for ev in events] == ["accepted", "done"]
+        assert events[0]["cached"] is True and events[0]["replicates"] == 50
+        assert len(events[-1]["results"]) == 50
+        assert calls == {"monte_carlo": 1, "config_hash": 50}
+
     def test_concurrent_identical_specs_share_one_execution(self, tmp_path):
         gate = threading.Event()
         service = CampaignService(

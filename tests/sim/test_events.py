@@ -158,27 +158,3 @@ def test_push_fire_counts_as_live_and_rejects_nan():
     assert len(q) == 0
     with pytest.raises(ValueError):
         q.push_fire(float("nan"), lambda: None)
-
-
-def test_push_many_matches_per_item_push():
-    def drain(q):
-        out = []
-        while q:
-            ev = q.pop()
-            out.append((ev.time, ev.priority, ev.seq, ev.args))
-        return out
-
-    items = [(2.0, lambda: None, ("a",)), (1.0, lambda: None, ("b",)),
-             (2.0, lambda: None, ("c",))]
-    batched = EventQueue()
-    batched.push_many(items, priority=3)
-    single = EventQueue()
-    for t, fn, args in items:
-        single.push(t, fn, args, priority=3)
-    assert drain(batched) == drain(single)
-
-
-def test_push_many_rejects_nan_time():
-    q = EventQueue()
-    with pytest.raises(ValueError):
-        q.push_many([(1.0, lambda: None, ()), (float("nan"), lambda: None, ())])

@@ -144,28 +144,6 @@ def test_schedule_fire_runs_in_order(sim):
     assert sim.events_executed == 3
 
 
-def test_schedule_many_matches_individual_schedules():
-    def drive(batch: bool):
-        sim = Simulator(seed=1)
-        hits = []
-        items = [(0.5, hits.append, ("a",)), (0.25, hits.append, ("b",)),
-                 (0.5, hits.append, ("c",))]
-        if batch:
-            sim.schedule_many(items)
-        else:
-            for delay, fn, args in items:
-                sim.schedule(delay, fn, *args)
-        sim.run()
-        return hits, sim.events_executed
-
-    assert drive(batch=True) == drive(batch=False) == (["b", "a", "c"], 3)
-
-
-def test_schedule_many_rejects_negative_delay(sim):
-    with pytest.raises(SimulationError):
-        sim.schedule_many([(1.0, lambda: None, ()), (-0.5, lambda: None, ())])
-
-
 def test_reentrant_run_rejected(sim):
     def nested():
         sim.run()

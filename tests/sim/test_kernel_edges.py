@@ -5,14 +5,10 @@ Each class pins one fixed hazard:
 * NaN delays/timestamps used to slip past the ``delay < 0`` guards
   (NaN fails every comparison) and only exploded later, deep inside the
   heap, after partially mutating it.
-* ``EventQueue.push_many`` used to push entries *while* validating, so a
-  NaN mid-batch stranded earlier entries in the heap without advancing
-  the ``seq``/``_live`` counters — later pushes reused sequence numbers,
-  silently breaking the FIFO tie-break the determinism contract rests on.
 * ``Simulator.reset()`` called from inside a handler corrupted the run
   loop's batched live-count reconciliation.
 * Identical-timestamp events must fire in scheduling order across all
-  four scheduling APIs (the tie-break is the determinism contract).
+  three scheduling APIs (the tie-break is the determinism contract).
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ import math
 
 import pytest
 
-from repro.sim.events import EventQueue
 from repro.sim.kernel import SimulationError, Simulator
 
 NAN = float("nan")
@@ -45,12 +40,6 @@ class TestNanRejection:
         with pytest.raises(SimulationError, match="cannot schedule at"):
             sim.schedule_at(NAN, lambda: None)
 
-    def test_schedule_many_rejects_nan_delay(self):
-        sim = Simulator(seed=0)
-        items = [(0.1, lambda: None, ()), (NAN, lambda: None, ())]
-        with pytest.raises(SimulationError, match="invalid delay"):
-            sim.schedule_many(items)
-
     def test_negative_delay_still_rejected(self):
         sim = Simulator(seed=0)
         with pytest.raises(SimulationError, match="invalid delay"):
@@ -63,47 +52,6 @@ class TestNanRejection:
         sim.schedule(0.1, sim.stop)
         sim.run(until=1.0)
         assert sim.now == pytest.approx(0.1)
-
-
-class TestPushManyAtomicity:
-    """A failing batch leaves the queue untouched."""
-
-    def test_nan_mid_batch_leaves_queue_unchanged(self):
-        q = EventQueue()
-        q.push(1.0, lambda: None)
-        seq_before = q._seq
-        heap_before = list(q._heap)
-        items = [
-            (0.5, lambda: None, ()),
-            (NAN, lambda: None, ()),
-            (0.7, lambda: None, ()),
-        ]
-        with pytest.raises(ValueError, match="NaN"):
-            q.push_many(items)
-        assert q._heap == heap_before
-        assert q._seq == seq_before
-        assert len(q) == 1
-
-    def test_no_duplicate_seq_after_failed_batch(self):
-        q = EventQueue()
-        with pytest.raises(ValueError):
-            q.push_many([(0.5, lambda: None, ()), (NAN, lambda: None, ())])
-        ev_a = q.push(0.5, lambda: None)
-        ev_b = q.push(0.5, lambda: None)
-        assert ev_a.seq != ev_b.seq
-        # same timestamp: FIFO pop order must follow scheduling order
-        assert q.pop() is ev_a
-        assert q.pop() is ev_b
-
-    def test_successful_batch_matches_per_item_push_order(self):
-        a, b = EventQueue(), EventQueue()
-        fns = [lambda: None, lambda: None, lambda: None]
-        a.push_many([(2.0, fns[0], ()), (2.0, fns[1], ()), (1.0, fns[2], ())])
-        for t, fn in ((2.0, fns[0]), (2.0, fns[1]), (1.0, fns[2])):
-            b.push_fire(t, fn)
-        assert [(e.time, e.fn) for e in (a.pop(), a.pop(), a.pop())] == [
-            (e.time, e.fn) for e in (b.pop(), b.pop(), b.pop())
-        ]
 
 
 class TestResetDuringRun:
@@ -146,10 +94,9 @@ class TestSameInstantOrdering:
         order = []
         sim.schedule(1.0, order.append, "schedule")
         sim.schedule_fire(1.0, order.append, "schedule_fire")
-        sim.schedule_many([(1.0, order.append, ("schedule_many",))])
         sim.schedule_at(1.0, order.append, "schedule_at")
         sim.run(until=2.0)
-        assert order == ["schedule", "schedule_fire", "schedule_many", "schedule_at"]
+        assert order == ["schedule", "schedule_fire", "schedule_at"]
 
     def test_priority_beats_fifo(self):
         sim = Simulator(seed=0)
