@@ -6,7 +6,6 @@ modules can import it without cycles.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Tuple, Type
 
 from repro.net.packet import Packet
@@ -32,36 +31,22 @@ class Agent:
 
     def __init__(self) -> None:
         self.node: Optional["Node"] = None
+        # The convenience accessors sit on every hot protocol path, so
+        # they are plain attributes, bound once by ``attach``.
+        self.network: Optional["Network"] = None
+        self.sim = None
+        self.node_id: Optional[int] = None
 
     # -- wiring -------------------------------------------------------- #
     def attach(self, node: "Node") -> None:
+        """Bind this agent to ``node`` (whose network must be set)."""
         self.node = node
-        # drop any memoized accessors from a previous attachment
-        self.__dict__.pop("sim", None)
-        self.__dict__.pop("network", None)
-        self.__dict__.pop("node_id", None)
+        self.network = node.network
+        self.sim = node.network.sim
+        self.node_id = node.node_id
 
     def start(self) -> None:
         """Called once after the network is fully assembled."""
-
-    # -- convenience accessors ------------------------------------------ #
-    # cached_property: resolved once on first access (after the network is
-    # wired), then served from the instance dict — these sit on every hot
-    # protocol path, so the property-chain walk is paid only once.
-    @cached_property
-    def sim(self):
-        assert self.node is not None
-        return self.node.network.sim
-
-    @cached_property
-    def network(self) -> "Network":
-        assert self.node is not None
-        return self.node.network
-
-    @cached_property
-    def node_id(self) -> int:
-        assert self.node is not None
-        return self.node.node_id
 
     def send(self, packet: Packet) -> None:
         """Broadcast ``packet`` through this node's MAC."""

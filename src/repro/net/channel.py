@@ -128,8 +128,6 @@ class Channel:
     ) -> None:
         self.sim = sim
         self.positions = np.asarray(positions, dtype=float)
-        self.n = len(self.positions)
-        self.comm_range = float(comm_range)
         self.propagation = propagation if propagation is not None else TwoRayGround()
         self.tx_power = float(tx_power)
         self.bitrate_bps = float(bitrate_bps)
@@ -138,36 +136,36 @@ class Channel:
         )
         self.perfect = perfect
         self.loss = loss
-        self.rx_threshold = range_to_threshold(self.propagation, self.tx_power, self.comm_range)
+        # the range itself is not kept: reachability is this threshold
+        self.rx_threshold = range_to_threshold(self.propagation, self.tx_power, float(comm_range))
 
         self._sparse = bool(
             self.propagation.is_deterministic if sparse is None else sparse
         )
-        # Candidate radius for the cell list: the model's true maximum
-        # range, padded by a relative epsilon so a node at *exactly* the
-        # nominal range survives the threshold->range float round-trip.
-        # Reachability itself is still decided by rx_power >= rx_threshold,
-        # identically to the dense path.
-        self._cell_size = (
-            self.propagation.max_range(self.tx_power, self.rx_threshold)
-            * (1.0 + 1e-9)
-        )
+        # Both geometry backends set the same attributes, all here, so
+        # whichever channel a process builds first registers every name
+        # in the class's shared keys: 29 in all, within CPython's limit
+        # (PERFORMANCE.md, "Inline attribute values").
         self._grid: Optional[SpatialHash] = None
-        # Dense matrices are computed lazily on the sparse path (kept for
-        # API compatibility / diagnostics); eagerly on the dense path.
-        self._distances: Optional[np.ndarray] = None
-        self._rx_power: Optional[np.ndarray] = None
-        self._prop_delays: Optional[np.ndarray] = None
+        #: the dense ``(distances, rx_power, prop_delays)`` matrices:
+        #: computed lazily on the sparse path (kept for API compatibility
+        #: / diagnostics), eagerly on the dense path
+        self._dense: Optional[tuple] = None
+        #: sparse rows: per node, neighbor ids (dense path too), delays
+        #: and received powers
+        self._neighbor_ids: List[np.ndarray] = []
+        self._nbr_delays: Optional[List[np.ndarray]] = None
+        self._nbr_powers: Optional[List[np.ndarray]] = None
 
         self._recompute_geometry()
 
         self.radios = [Radio(i, capture_threshold_db=capture_threshold_db) for i in range(self.n)]
         self._nodes: List["Node"] = []
 
-        # per-frame-size energy memos (pure functions of the bit count, so
-        # caching is bit-identical; sizes are per-packet-class constants)
-        self._tx_energy_cache: dict = {}
-        self._rx_energy_cache: dict = {}
+        # per-frame-size ``(tx, rx)`` energy memo (pure functions of the
+        # bit count, so caching is bit-identical; sizes are per-packet-class
+        # constants)
+        self._energy_cache: dict = {}
 
         # The reception path pushes its fire-and-forget entries
         # ``(time, priority, seq, fn, args)`` straight onto the kernel's
@@ -199,6 +197,22 @@ class Channel:
     # ------------------------------------------------------------------ #
     # geometry
     # ------------------------------------------------------------------ #
+    @property
+    def n(self) -> int:
+        """Number of nodes."""
+        return len(self.positions)
+
+    @property
+    def _cell_size(self) -> float:
+        """Candidate radius for the cell list.
+
+        The model's true maximum range, padded by a relative epsilon so a
+        node at *exactly* the nominal range survives the threshold->range
+        float round-trip.  Reachability itself is still decided by
+        ``rx_power >= rx_threshold``, identically to the dense path.
+        """
+        return self.propagation.max_range(self.tx_power, self.rx_threshold) * (1.0 + 1e-9)
+
     def _recompute_geometry(self) -> None:
         """Rebuild the neighbor index from ``self.positions``."""
         n = self.n
@@ -209,7 +223,7 @@ class Channel:
         #: per-frame loss batching never re-materialises the id list
         self._delivery_dsts: List[Optional[list]] = [None] * n
         if self._sparse:
-            self._distances = self._rx_power = self._prop_delays = None
+            self._dense = None
             self._grid = SpatialHash(self.positions, self._cell_size)
             self._neighbor_ids: List[np.ndarray] = [None] * n  # type: ignore[list-item]
             self._nbr_delays: List[np.ndarray] = [None] * n  # type: ignore[list-item]
@@ -296,8 +310,8 @@ class Channel:
         not the direction) by mirroring the upper triangle.
         """
         diff = self.positions[:, None, :] - self.positions[None, :, :]
-        self._distances = np.sqrt((diff**2).sum(axis=2))
-        d = self._distances.copy()
+        distances = np.sqrt((diff**2).sum(axis=2))
+        d = distances.copy()
         np.fill_diagonal(d, np.inf)
         with np.errstate(divide="ignore"):
             rx = np.asarray(
@@ -305,11 +319,10 @@ class Channel:
             )
         iu = np.triu_indices(self.n, k=1)
         rx[(iu[1], iu[0])] = rx[iu]  # mirror the upper triangle
-        self._rx_power = rx
         reach = rx >= self.rx_threshold
         np.fill_diagonal(reach, False)
         self._neighbor_ids = [np.flatnonzero(reach[i]) for i in range(self.n)]
-        self._prop_delays = self._distances / SPEED_OF_LIGHT
+        self._dense = (distances, rx, distances / SPEED_OF_LIGHT)
 
     @property
     def neighbor_ids(self) -> List[np.ndarray]:
@@ -325,35 +338,35 @@ class Channel:
         delivery never touches these on the sparse path.
         """
         diff = self.positions[:, None, :] - self.positions[None, :, :]
-        self._distances = np.sqrt((diff**2).sum(axis=2))
-        d = self._distances.copy()
+        distances = np.sqrt((diff**2).sum(axis=2))
+        d = distances.copy()
         np.fill_diagonal(d, np.inf)
         with np.errstate(divide="ignore"):
-            self._rx_power = np.asarray(
+            rx = np.asarray(
                 self.propagation.receive_power(self.tx_power, np.maximum(d, 1e-9))
             )
-        self._prop_delays = self._distances / SPEED_OF_LIGHT
+        self._dense = (distances, rx, distances / SPEED_OF_LIGHT)
 
     @property
     def distances(self) -> np.ndarray:
         """Dense pairwise distance matrix (lazy on the sparse path)."""
-        if self._distances is None:
+        if self._dense is None:
             self._compute_dense_matrices()
-        return self._distances
+        return self._dense[0]
 
     @property
     def rx_power(self) -> np.ndarray:
         """Dense received-power matrix (lazy on the sparse path)."""
-        if self._rx_power is None:
+        if self._dense is None:
             self._compute_dense_matrices()
-        return self._rx_power
+        return self._dense[1]
 
     @property
     def prop_delays(self) -> np.ndarray:
         """Dense propagation-delay matrix (lazy on the sparse path)."""
-        if self._prop_delays is None:
+        if self._dense is None:
             self._compute_dense_matrices()
-        return self._prop_delays
+        return self._dense[2]
 
     def update_positions(self, positions: np.ndarray) -> None:
         """Move the nodes and re-derive reachability (mobility extension).
@@ -392,7 +405,7 @@ class Channel:
         self._grid = SpatialHash(self.positions, self._cell_size)
         affected_new = self._grid.block_members(moved)
         affected = np.unique(np.concatenate([moved, affected_old, affected_new]))
-        self._distances = self._rx_power = self._prop_delays = None
+        self._dense = None
         self._rebuild_rows(affected)
 
     # ------------------------------------------------------------------ #
@@ -456,7 +469,7 @@ class Channel:
             # loop of scalar indexing — same IEEE-754 bits per element,
             # ~an order of magnitude faster at dense fan-outs
             ids = self.neighbor_ids[node_id]
-            pd, rx = self._prop_delays, self._rx_power
+            _, rx, pd = self._dense
             triples = zip(
                 ids.tolist(),
                 pd[node_id, ids].tolist(),
@@ -502,14 +515,13 @@ class Channel:
 
         self.frames_sent += 1
         self._emit(now, _TX, node_id, packet.ptype, packet.uid)
+        energy = self._energy_cache.get(bits)
+        if energy is None:
+            em = self.energy_model
+            energy = self._energy_cache[bits] = (em.tx_energy(bits), em.rx_energy(bits))
+        e_tx, e_rx = energy
         if node is not None:
-            e = self._tx_energy_cache.get(bits)
-            if e is None:
-                e = self._tx_energy_cache[bits] = self.energy_model.tx_energy(bits)
-            node.energy.charge_tx(e)
-        e_rx = self._rx_energy_cache.get(bits)
-        if e_rx is None:
-            e_rx = self._rx_energy_cache[bits] = self.energy_model.rx_energy(bits)
+            node.energy.charge_tx(e_tx)
 
         delivery = self._delivery[node_id]
         if delivery is None:

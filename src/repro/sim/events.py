@@ -44,6 +44,10 @@ class Event:
         ``(time, priority)`` are broken by ``seq`` (FIFO).
     fn:
         The callback. Called as ``fn(*args)``.
+    cancelled:
+        True once the event can no longer fire: it was cancelled, or it
+        already fired (the queue marks it as it pops it), so a late
+        :meth:`EventQueue.cancel` leaves the live count alone.
     """
 
     __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled")
@@ -154,7 +158,10 @@ class EventQueue:
         self._live += 1
 
     def cancel(self, ev: Event) -> None:
-        """Cancel a previously pushed event.  Safe to call twice."""
+        """Cancel a previously pushed event.
+
+        A no-op for an event that was already cancelled or has fired.
+        """
         if not ev.cancelled:
             ev.cancel()
             self._live -= 1
@@ -175,6 +182,7 @@ class EventQueue:
                 return Event(time, priority, seq, x, args)
             if not x.cancelled:
                 self._live -= 1
+                x.cancelled = True  # fired: a later cancel is a no-op
                 return x
         raise IndexError("pop from empty EventQueue")
 

@@ -54,6 +54,10 @@ class Simulator:
         self.trace = trace if trace is not None else TraceRecorder()
         #: number of events executed so far (for profiling / sanity checks)
         self.events_executed = 0
+        #: the ``until`` of the running :meth:`run` call: every event up to
+        #: this instant will execute before it returns.  None outside a
+        #: call, and for a call without ``until`` or with ``max_events``.
+        self.horizon: Optional[float] = None
 
     # ------------------------------------------------------------------ #
     # clock
@@ -151,6 +155,7 @@ class Simulator:
             raise SimulationError("run() called re-entrantly")
         self._running = True
         self._stopped = False
+        self.horizon = until if max_events is None else None
         executed = 0
         # Hot loop: operate on the queue's heap directly so each event
         # costs one heappop and no intermediate method calls.  Cancelled
@@ -184,6 +189,7 @@ class Simulator:
                     fn = ev.fn
                     args = ev.args
                 else:
+                    ev = None
                     fn = entry[3]
                 t = entry[0]
                 if not unbounded:
@@ -194,6 +200,8 @@ class Simulator:
                             f"exceeded max_events={max_events}; runaway simulation?"
                         )
                 heappop(heap)
+                if ev is not None:
+                    ev.cancelled = True  # fired: a later cancel is a no-op
                 popped += 1
                 if t < self.now:  # pragma: no cover - queue invariant
                     raise SimulationError("event queue produced a past event")
@@ -208,6 +216,7 @@ class Simulator:
             queue._live -= popped
             self.events_executed += executed
             self._running = False
+            self.horizon = None
             if gc_was_enabled:
                 gc.enable()
         return self.now

@@ -40,6 +40,8 @@ than a fork, so campaign drivers gate warm starts on
 from __future__ import annotations
 
 import copy
+import copyreg
+import dataclasses
 import io
 import pickle
 from collections import OrderedDict
@@ -327,13 +329,52 @@ def _rebuild_generator(state: dict) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
+def _restore_frozen(cls, state: dict):
+    """Rebuild a frozen dataclass instance attribute by attribute."""
+    obj = object.__new__(cls)
+    for name, value in state.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+#: how :class:`_PrefixPickler` reduces instances of each class
+_PLAIN, _FROZEN, _DEFAULT = "plain", "frozen", "default"
+_REDUCTION: Dict[type, str] = {}
+
+
+def _reduction(cls: type) -> str:
+    """``_PLAIN`` or ``_FROZEN`` for this package's dict-backed classes
+    that pickle by their attribute dict; ``_DEFAULT`` for the rest."""
+    if (
+        not cls.__module__.startswith("repro.")
+        or cls.__dictoffset__ == 0  # slotted: pickle already uses setattr
+        or cls.__reduce_ex__ is not object.__reduce_ex__
+        or cls.__reduce__ is not object.__reduce__
+        or hasattr(cls, "__setstate__")
+    ):
+        return _DEFAULT
+    if dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen:
+        return _FROZEN
+    return _PLAIN
+
+
 class _PrefixPickler(pickle.Pickler):
-    """Capture-side pickler: shared immutables + cheap generator rebuilds.
+    """Capture-side pickler: shared immutables, cheap generator rebuilds,
+    and inline attribute values in every fork.
 
     ``shared_ids`` maps ``id(obj)`` to a small-int token for objects every
     fork may reference *in place* (see ``_shared_prefix_state``); numpy
     ``Generator`` objects are swapped for :func:`_rebuild_generator` so
     forks skip the entropy-seeding constructor.
+
+    The package's own objects travel in pickle's slot-state form,
+    ``(copyreg.__newobj__, (cls,), (None, state))``.  Its BUILD sets each
+    attribute with ``setattr``, where the default form writes into
+    ``inst.__dict__`` — and on CPython 3.11+ merely asking for an
+    instance's ``__dict__`` moves its attributes out of the inline value
+    array into a real dict, which takes every later attribute access off
+    the interpreter's specialised fast path.  Frozen dataclasses, whose
+    ``setattr`` raises, are rebuilt by :func:`_restore_frozen`.
     """
 
     def __init__(self, buf, shared_ids: dict) -> None:
@@ -344,9 +385,20 @@ class _PrefixPickler(pickle.Pickler):
         return self._shared_ids.get(id(obj))
 
     def reducer_override(self, obj):
-        if type(obj) is np.random.Generator:
+        cls = type(obj)
+        if cls is np.random.Generator:
             return (_rebuild_generator, (obj.bit_generator.state,))
-        return NotImplemented
+        how = _REDUCTION.get(cls)
+        if how is None:
+            how = _REDUCTION[cls] = _reduction(cls)
+        if how is _DEFAULT:
+            return NotImplemented
+        state = obj.__getstate__()
+        if state is None:
+            state = {}
+        if how is _FROZEN:
+            return (_restore_frozen, (cls, state))
+        return (copyreg.__newobj__, (cls,), (None, state))
 
 
 class _PrefixUnpickler(pickle.Unpickler):

@@ -8,14 +8,17 @@ committed corpus scenario through the batch entry point, and prove the
 fallback machinery leaves ineligible configs bit-unchanged.
 """
 
+import heapq
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.sim.batch as batch_mod
 from repro.experiments.config import SimulationConfig
-from repro.experiments.runner import run_many, run_single
+from repro.experiments.runner import _run_suffix, run_many, run_single
+from repro.net.neighbor import HelloAgent
 from repro.net.packet import current_uid, reset_uids
 from repro.sim.batch import (
     STATS,
@@ -23,6 +26,9 @@ from repro.sim.batch import (
     batch_group_key,
     run_batch,
 )
+from repro.sim.hooks import RunHook
+from repro.sim.rng import BatchedStreams
+from repro.sim.snapshot import build_prefix, default_trace_kinds
 from repro.sim.trace import TraceRecorder, trace_digest
 from repro.traffic.spec import SessionSpec, TrafficPlan, ramp_plan
 
@@ -238,6 +244,163 @@ class TestLiftedPaths:
                 lifted = cfg.with_(hello_phase=True, mac="ideal")
                 assert batch_eligible(lifted) == f"loss:{cfg.loss_model}"
         assert seen_iid, "corpus lost its iid-lossy entry"
+
+
+# --------------------------------------------------------------------- #
+# the suffix's idle windows, fast-forwarded in closed form
+# --------------------------------------------------------------------- #
+#: rounds long enough that both suffix phases end in idle beaconing
+IDLE = ELIGIBLE.with_(construction_time=1.5, data_time=1.0, keep_rx_records=True)
+
+
+class _EndState(RunHook):
+    """Reads, as the suffix finishes, everything an idle window writes."""
+
+    def on_bind(self, net, agents, cfg, receivers, members) -> None:
+        self.net = net
+
+    def on_finish(self) -> None:
+        net = self.net
+        sim = net.sim
+        ch = net.channel
+        heap = sim._queue._heap
+        self.state = {
+            "uid": current_uid(),
+            "hello": [
+                sim.rng.stream("hello", i).bit_generator.state for i in range(len(net.nodes))
+            ],
+            "energy": [
+                (n.energy.tx_joules, n.energy.rx_joules, n.energy.depleted) for n in net.nodes
+            ],
+            "tables": [
+                [
+                    (i, e.last_seen, e.groups, e.covered_sessions, e.forwarder_sessions)
+                    for i, e in n.neighbor_table._entries.items()
+                ]
+                for n in net.nodes
+            ],
+            "records": list(sim.trace.records),
+            "counts": dict(sim.trace.counts),
+            "channel": (ch.frames_sent, ch.frames_delivered, ch.frames_lost),
+            "sent": [(n.mac.sent, n.mac._busy, len(n.mac.queue)) for n in net.nodes],
+            "hellos": [n.agents_of(HelloAgent)[0].hellos_sent for n in net.nodes],
+            "pending": sorted(
+                (e[0], e[1], getattr(e[3], "__name__", None)) for e in heap
+            ),
+            "live": (sim._queue._live, len(heap)),
+        }
+
+
+def _scalar_end_state(cfg, hook=None):
+    hook = hook or _EndState()
+    reset_uids()
+    _run_suffix(cfg, build_prefix(cfg), hooks=(hook,))
+    return hook.state
+
+
+def _batched_end_state(cfg, hook=None):
+    """One seed through the batch kernel's own reconstruct + suffix."""
+    hook = hook or _EndState()
+    reset_uids()
+    streams = BatchedStreams([cfg.seed])
+    plan = batch_mod._HelloPlan(cfg, streams)
+    recorder = TraceRecorder(enabled_kinds=default_trace_kinds(cfg))
+    prefix = batch_mod._reconstruct_prefix(cfg, streams.registry(0), recorder, plan, 0)
+    prefix.net.channel.direct_finish = True
+    _run_suffix(cfg, prefix, hooks=(hook,))
+    return hook.state
+
+
+class TestIdleFastForward:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_suffix_ends_in_the_scalar_state(self, seed):
+        """Generators, uids, energy, tables, trace, counters and the heap
+        a fast-forwarded suffix leaves equal the scalar run's."""
+        cfg = IDLE.with_(seed=seed)
+        scalar = _scalar_end_state(cfg)
+        batched = _batched_end_state(cfg)
+        assert STATS.idle_windows == 2  # route discovery, then data
+        assert batched == scalar
+        assert batched["live"][0] == batched["live"][1]
+
+    def test_lossy_seeds_step_their_suffix(self):
+        cfg = IDLE.with_(loss_model="iid", loss_rate=0.1)
+        _assert_batch_matches_scalar([cfg.with_(seed=s) for s in range(2)])
+        assert STATS.idle_windows == 0
+
+    def test_depletion_inside_a_window_is_stepped(self):
+        """A budget that runs out during the suffix refuses the closed
+        form (the depletion instant is seq-ordered), so it is stepped."""
+
+        class Drain(_EndState):
+            def on_bind(self, net, agents, cfg, receivers, members) -> None:
+                super().on_bind(net, agents, cfg, receivers, members)
+                en = net.nodes[7].energy
+                en.initial_joules = en.tx_joules + en.rx_joules + 2e-4
+
+        cfg = IDLE.with_(seed=5)
+        scalar = _scalar_end_state(cfg, Drain())
+        batched = _batched_end_state(cfg, Drain())
+        assert scalar["energy"][7][2]  # it did deplete
+        assert batched == scalar
+        assert STATS.idle_windows == 0
+
+    def test_forced_tick_tie_refuses_before_writing(self):
+        """Two ticks at one bit-identical instant refuse the epoch, and the
+        refusal leaves the seed exactly as it was."""
+        cfg = IDLE.with_(seed=2)
+        streams = BatchedStreams([cfg.seed])
+        plan = batch_mod._HelloPlan(cfg, streams)
+        recorder = TraceRecorder(enabled_kinds=default_trace_kinds(cfg))
+        prefix = batch_mod._reconstruct_prefix(cfg, streams.registry(0), recorder, plan, 0)
+        sim, net = prefix.sim, prefix.net
+        net.channel.direct_finish = True
+        sim.run(until=sim.now + 0.05)  # settle the boundary's in-flight frames
+        heap = sim._queue._heap
+        assert len(heap) == cfg.n_nodes  # nothing but ticks
+        (ta, _, _, fa, _), (tb, _, sb, fb, ab) = sorted(heap)[:2]
+        cf = fa.__self__.closed_form
+        b = fb.__self__.node_id
+        kb = int(np.flatnonzero(cf.ticks[b] == tb)[0])
+        cf.ticks[b, kb] = ta  # node b now ticks with node a
+        heap[:] = [e for e in heap if e[3] is not fb] + [(ta, 0, sb, fb, ab)]
+        heapq.heapify(heap)
+
+        before = _EndState()
+        before.on_bind(net, None, cfg, None, None)
+        before.on_finish()
+        with pytest.raises(batch_mod._Inexpressible, match="tick-time-tie"):
+            batch_mod._epoch(cf, sim.now + 1.0)
+        after = _EndState()
+        after.on_bind(net, None, cfg, None, None)
+        after.on_finish()
+        assert after.state == before.state
+        net.close()
+
+    def test_refused_windows_are_stepped(self, monkeypatch):
+        """Every suffix window refused, as at an exact tie: each is
+        stepped, and the seeds still equal scalar without a fallback."""
+        real = batch_mod._epoch
+
+        def refuse(cf, until, current=None):
+            if current is not None:
+                raise batch_mod._Inexpressible("tick-time-tie")
+            return real(cf, until, current)
+
+        monkeypatch.setattr(batch_mod, "_epoch", refuse)
+        _assert_batch_matches_scalar([IDLE.with_(seed=s) for s in range(2)])
+        assert STATS.idle_windows == 0 and STATS.fallback_runs == 0
+
+    def test_engages_on_the_bench_config(self):
+        """The Monte Carlo bench shape: both suffix phases of every seed go
+        idle and fast-forward, and the results stay scalar's."""
+        cfg = SimulationConfig(group_size=20, mac="ideal", hello_phase=True, hello_warmup=90.0)
+        cfgs = [cfg.with_(seed=s) for s in (11, 12)]
+        reset_uids()
+        scalar = [run_single(c, cache=False, warm_start=False) for c in cfgs]
+        reset_uids()
+        assert run_batch(cfgs) == scalar
+        assert STATS.idle_windows == 4 and STATS.fallback_runs == 0
 
 
 class TestCacheKeyStability:

@@ -158,3 +158,12 @@ def test_push_fire_counts_as_live_and_rejects_nan():
     assert len(q) == 0
     with pytest.raises(ValueError):
         q.push_fire(float("nan"), lambda: None)
+
+
+def test_cancel_after_pop_keeps_live_count():
+    q = EventQueue()
+    ev = q.push(1.0, lambda: None)
+    q.push(2.0, lambda: None)
+    assert q.pop() is ev
+    q.cancel(ev)
+    assert len(q) == 1 and q.pop().time == 2.0

@@ -167,3 +167,31 @@ def test_events_executed_counter(sim):
         sim.schedule(float(i), lambda: None)
     sim.run()
     assert sim.events_executed == 5
+
+
+def test_cancelling_a_fired_event_is_a_noop(sim):
+    """A handle cancelled after its event fired leaves the queue alone.
+
+    The run loop marks the events it fires, so the late cancel cannot
+    discount the live count while the 2.0 event is still queued.
+    """
+    hits = []
+    first = sim.schedule(1.0, hits.append, "first")
+    sim.schedule(2.0, hits.append, "second")
+    sim.run(until=1.5)
+    sim.cancel(first)
+    assert sim.pending == 1
+    assert sim.step()
+    assert hits == ["first", "second"] and sim.now == 2.0
+    assert sim.pending == 0 and not sim.step()
+
+
+def test_horizon_is_the_running_calls_until(sim):
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(sim.horizon))
+    sim.schedule(3.0, lambda: seen.append(sim.horizon))
+    assert sim.horizon is None
+    sim.run(until=2.0)
+    sim.run(max_events=5)
+    assert seen == [2.0, None]
+    assert sim.horizon is None
