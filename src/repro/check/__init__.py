@@ -15,10 +15,10 @@ statements into executable checks:
   ``brute_force_min_transmitters`` comparison on small instances
   (approximation ratio), cross-protocol delivery comparison under
   identical seeds on large ones.
-* :mod:`repro.check.fuzz` — a seeded scenario generator (plain-numpy for
-  CLI campaigns, Hypothesis strategies for the test suite) driving short
-  fault/loss/mobility runs under the harness, plus a serialisable
-  corpus format for regression replay (``tests/corpus/``).
+* :mod:`repro.check.fuzz` — one seeded generator of scheduled configs
+  (drawn with numpy for CLI campaigns, with Hypothesis in the test
+  suite) driving short fault/loss/mobility runs under the harness, plus
+  a JSON corpus of configs for regression replay (``tests/corpus/``).
 
 The harness costs nothing when not installed: without it the trace
 recorder's ``emit`` stays the plain class method and ``run_single`` takes

@@ -1,37 +1,39 @@
-"""Seeded scenario generation and checked scenario execution.
+"""Seeded fuzz cases and checked runs.
 
-A :class:`Scenario` is a fully serialisable description of one short
-checked run: a :class:`~repro.experiments.config.SimulationConfig` plus
-the stressors the paper's round doesn't exercise — a fault schedule,
-random-waypoint mobility, an energy budget, CBR data and periodic route
-refresh.  :meth:`Scenario.run_config` folds them into the config's
-:class:`~repro.experiments.config.Schedule`, and :func:`run_scenario`
-runs it under a :class:`~repro.check.CheckHarness` (checkpoints after
-route discovery, at end of run, and on every RouteError) and reports
-violations (:class:`ScenarioMeter`); the ``check`` CLI runs whole
-campaigns of them on :func:`~repro.experiments.runner.run_many`.
+A fuzz case is a plain :class:`~repro.experiments.config.SimulationConfig`
+whose :class:`~repro.experiments.config.Schedule` carries the stressors
+the paper's round doesn't exercise: a fault schedule, random-waypoint
+mobility, an energy budget, CBR data, periodic route refresh and the
+self-healing layer.  :func:`run_scenario` runs one under a
+:class:`~repro.check.CheckHarness` (checkpoints after route discovery, at
+end of run, and on every RouteError) and reports violations
+(:class:`ScenarioMeter`); the ``check`` CLI runs whole campaigns of them
+on :func:`~repro.experiments.runner.run_many`.
 
-Scenarios come from two generators sharing one parameter space
-(:data:`BOUNDS`):
+The space (:data:`BOUNDS`) is written once, in one generator over
+five draws (``coin``, ``integers``, ``uniform``, ``choice``,
+``weighted``) with two backends:
 
-* :func:`random_scenario` — plain ``numpy.random.Generator`` draws, used
-  by the ``check`` CLI for long offline campaigns;
-* :func:`scenario_strategy` — a Hypothesis strategy with structured
-  draws (so shrinking minimises topology size, fault count and packet
-  count independently), used by ``tests/check/test_fuzz.py``.
+* :func:`random_scenario` — a ``numpy.random.Generator``, used by the
+  ``check`` CLI for long offline campaigns;
+* :func:`scenario_strategy` — a Hypothesis strategy whose structured
+  draws shrink topology size, fault count and packet count
+  independently, used by ``tests/check/test_fuzz.py``.
 
-Falsifying scenarios are serialised into ``tests/corpus/`` via
+Falsifying configs are serialised into ``tests/corpus/`` via
 :func:`save_corpus_entry` and replayed forever after by
-:func:`replay_corpus_entry` (a tier-1 regression test) — the corpus is
-the fuzzer's long-term memory.
+:func:`replay_corpus` (a tier-1 regression test and a stage of the
+``check`` and ``chaos`` CLIs) — the corpus is the fuzzer's long-term
+memory.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass
+from itertools import accumulate
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -44,9 +46,9 @@ from repro.sim.trace import TraceKind, trace_digest
 from repro.traffic.metrics import session_deliveries
 
 __all__ = [
-    "Scenario",
     "ScenarioReport",
     "ScenarioMeter",
+    "describe",
     "scenario_hooks",
     "run_scenario",
     "random_scenario",
@@ -54,14 +56,16 @@ __all__ = [
     "save_corpus_entry",
     "load_corpus_entry",
     "replay_corpus_entry",
+    "replay_corpus",
     "BOUNDS",
 ]
 
-#: Shared parameter space of both generators.  Grid spacing stays under
+#: The scenario space.  Ranges are inclusive.  Grid spacing stays under
 #: the 40 m radio range so topologies are connected; random deployments
 #: use densities where the resampling in ``random_topology`` converges.
 BOUNDS = {
     "protocols": ("mtmrp", "mtmrp_nophs", "odmrp", "dodmrp"),
+    "seed": (0, 2**31 - 2),
     "grid_dim": (3, 5),           # nodes per grid axis
     "grid_spacing": (22.0, 38.0),  # metres between grid neighbours
     "random_n": (14, 26),
@@ -90,78 +94,40 @@ BOUNDS = {
     "session_start": (0.0, 1.0),
     "session_packets": (1, 3),
     "session_rate": (5.0, 20.0),
-    "seed_max": 2**31 - 1,
 }
 
+#: the committed regression corpus, relative to a source checkout
+CORPUS_DIR = Path("tests") / "corpus"
 
-@dataclass(frozen=True)
-class Scenario:
-    """One serialisable checked-run description."""
 
-    config: SimulationConfig
-    #: :meth:`FaultPlan.to_dicts` payload (absolute simulated times)
-    faults: Tuple[Dict[str, Any], ...] = ()
-    #: CBR data stream after route discovery
-    n_packets: int = 2
-    rate_pps: float = 10.0
-    #: periodic JoinQuery refresh interval (None = single round)
-    refresh_interval: Optional[float] = None
-    #: random-waypoint kwargs (speed_min/speed_max/pause/update_interval)
-    mobility: Optional[Dict[str, float]] = None
-    #: per-node battery in joules (None = unlimited)
-    energy_budget: Optional[float] = None
-    #: :meth:`RepairPolicy.to_dict` payload enabling the self-healing
-    #: layer on every session-keeping agent (None = layer off)
-    repair: Optional[Dict[str, Any]] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        d = asdict(self)
-        d["faults"] = [dict(f) for f in self.faults]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "Scenario":
-        d = dict(d)
-        d["config"] = SimulationConfig(**d["config"])
-        d["faults"] = tuple(dict(f) for f in d.get("faults", ()))
-        if d.get("mobility") is not None:
-            d["mobility"] = {k: float(v) for k, v in d["mobility"].items()}
-        return cls(**d)
-
-    def run_config(self) -> SimulationConfig:
-        """The scenario as one config: its stressors become the schedule."""
-        stressors = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "config"}
-        return self.config.with_(schedule=Schedule(**stressors))
-
-    def describe(self) -> str:
-        cfg = self.config
-        bits = [
-            f"{cfg.protocol}/{cfg.topology}({cfg.n_nodes})",
-            f"grp={cfg.group_size}", f"seed={cfg.seed}", f"mac={cfg.mac}",
-        ]
-        if cfg.sessions is not None:
-            bits.append(f"sessions={len(cfg.sessions)}")
-        if cfg.loss_model != "none":
-            bits.append(f"loss={cfg.loss_model}")
-        if self.faults:
-            bits.append(f"faults={len(self.faults)}")
-        if self.mobility:
-            bits.append("mobility")
-        if self.energy_budget is not None:
-            bits.append(f"budget={self.energy_budget:.1e}J")
-        if self.refresh_interval is not None:
-            bits.append(f"refresh={self.refresh_interval:.1f}s")
-        if self.repair is not None:
-            bits.append("repair")
-        return " ".join(bits)
+def describe(cfg: SimulationConfig) -> str:
+    """One line naming a fuzz case's deployment and stressors."""
+    bits = [
+        f"{cfg.protocol}/{cfg.topology}({cfg.n_nodes})",
+        f"grp={cfg.group_size}", f"seed={cfg.seed}", f"mac={cfg.mac}",
+    ]
+    if cfg.sessions is not None:
+        bits.append(f"sessions={len(cfg.sessions)}")
+    if cfg.loss_model != "none":
+        bits.append(f"loss={cfg.loss_model}")
+    s = cfg.schedule or Schedule()
+    if s.faults:
+        bits.append(f"faults={len(s.faults)}")
+    if s.mobility:
+        bits.append("mobility")
+    if s.energy_budget is not None:
+        bits.append(f"budget={s.energy_budget:.1e}J")
+    if s.refresh_interval is not None:
+        bits.append(f"refresh={s.refresh_interval:.1f}s")
+    if s.repair is not None:
+        bits.append("repair")
+    return " ".join(bits)
 
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """Outcome of one checked scenario run."""
+    """Outcome of one checked run."""
 
-    #: the scenario run (None on a :class:`ScenarioMeter`'s own report)
-    scenario: Optional[Scenario] = None
     violations: Tuple = ()
     checkpoints: Tuple[str, ...] = ()
     delivered_receivers: int = 0
@@ -175,7 +141,7 @@ class ScenarioReport:
 
 
 class ScenarioMeter(Meter):
-    """Measures a finished checked scenario as a :class:`ScenarioReport`."""
+    """Measures a finished checked run as a :class:`ScenarioReport`."""
 
     def __init__(self, harness: CheckHarness) -> None:
         self.harness = harness
@@ -209,7 +175,7 @@ def scenario_hooks(
     """``run_many`` hook factory: a harness, then a :class:`ScenarioMeter`.
 
     ``context`` is the repro description embedded in violations (default:
-    the run's config, which carries the whole scenario as its schedule).
+    the run's config, which carries the whole fuzz case).
     """
     harness = CheckHarness(mode=mode, invariants=invariants)
     harness.context = context
@@ -217,304 +183,221 @@ def scenario_hooks(
 
 
 def run_scenario(
-    scenario: Scenario,
+    cfg: SimulationConfig,
     mode: str = "collect",
     invariants=None,
     context: Any = None,
 ) -> ScenarioReport:
-    """Execute ``scenario`` under a :class:`CheckHarness`.
+    """Run ``cfg`` under a :class:`CheckHarness`.
 
     With ``mode="raise"`` the first violation propagates (tests); with
     ``mode="collect"`` all violations land on the report (campaigns).
     ``context`` overrides the repro description embedded in violations
     (e.g. a corpus file path).  The run is
-    :func:`~repro.experiments.runner.run_single` on
-    :meth:`Scenario.run_config`.
+    :func:`~repro.experiments.runner.run_single` on ``cfg``.
     """
     from repro.experiments.runner import run_single
 
-    cfg = scenario.run_config()
-    hooks = scenario_hooks(cfg, mode, invariants, scenario if context is None else context)
+    hooks = scenario_hooks(cfg, mode, invariants, context)
     run_single(cfg, hooks=hooks)
-    return replace(hooks[-1].result, scenario=scenario)
+    return hooks[-1].result
 
 
 # --------------------------------------------------------------------- #
-# generators
+# the scenario space
 # --------------------------------------------------------------------- #
-def _draw_sessions_np(
-    rng: np.random.Generator, n: int, group_size: int
-) -> Tuple[Dict[str, Any], ...]:
+class _NumpyDraws:
+    """The five draws :func:`_draw_scenario` is written in, on a
+    ``numpy.random.Generator``."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+
+    def coin(self, p: float) -> bool:
+        return bool(self.rng.random() < p)
+
+    def integers(self, lo: int, hi: int) -> int:
+        return int(self.rng.integers(lo, hi + 1))
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return float(self.rng.uniform(lo, hi))
+
+    def choice(self, options):
+        return options[int(self.rng.choice(len(options)))]
+
+    def weighted(self, options, weights):
+        roll = self.rng.random()
+        for option, edge in zip(options, accumulate(weights)):
+            if roll < edge:
+                return option
+        return options[-1]
+
+
+class _HypothesisDraws:
+    """The same draws through a Hypothesis ``draw``.  Coins are fair and
+    weights only order the options, heaviest first, so shrinking takes
+    every coin to False, every choice to its first option and every
+    weighted draw to its heaviest option."""
+
+    def __init__(self, draw) -> None:
+        from hypothesis import strategies
+
+        self.draw, self.st = draw, strategies
+
+    def coin(self, p: float) -> bool:
+        return self.draw(self.st.booleans())
+
+    def integers(self, lo: int, hi: int) -> int:
+        return self.draw(self.st.integers(lo, hi))
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return self.draw(self.st.floats(lo, hi))
+
+    def choice(self, options):
+        return self.draw(self.st.sampled_from(options))
+
+    def weighted(self, options, weights):
+        ranked = sorted(zip(weights, options), key=lambda wo: -wo[0])
+        return self.choice(tuple(option for _, option in ranked))
+
+
+def _draw_sessions(d, n: int, group_size: int) -> Tuple[Dict[str, Any], ...]:
     """2-4 concurrent sessions: the first is the config's own flow (so the
     legacy receiver draw is reused), the rest get fresh groups with small
     receiver sets, staggered starts and short CBR streams."""
     b = BOUNDS
-    k = int(rng.integers(2, b["max_sessions"] + 1))
-    specs = []
-    for i in range(k):
-        if i == 0:
-            source, group, gsize = 0, 1, group_size
-        else:
-            source = int(rng.integers(0, n))
-            group = 1 + i
-            gsize = int(rng.integers(1, min(b["session_group_max"], n - 1) + 1))
-        specs.append(
-            {
-                "source": source,
-                "group": group,
-                "group_size": gsize,
-                "start": float(rng.uniform(*b["session_start"])),
-                "rate_pps": float(rng.uniform(*b["session_rate"])),
-                "n_packets": int(
-                    rng.integers(b["session_packets"][0], b["session_packets"][1] + 1)
-                ),
-            }
-        )
-    return tuple(specs)
+    return tuple(
+        {
+            "source": 0 if i == 0 else d.integers(0, n - 1),
+            "group": 1 + i,
+            "group_size": (
+                group_size if i == 0
+                else d.integers(1, min(b["session_group_max"], n - 1))
+            ),
+            "start": d.uniform(*b["session_start"]),
+            "rate_pps": d.uniform(*b["session_rate"]),
+            "n_packets": d.integers(*b["session_packets"]),
+        }
+        for i in range(d.integers(2, b["max_sessions"]))
+    )
 
 
-def random_scenario(rng: np.random.Generator) -> Scenario:
-    """Draw one scenario from :data:`BOUNDS` (CLI campaign generator)."""
+def _draw_scenario(d) -> SimulationConfig:
+    """One fuzz case from :data:`BOUNDS`, drawn through ``d``, one of the
+    two backends above.
+
+    The draw order is part of the campaign format: ``check --seed S``
+    draws the same configs for as long as it holds, which
+    ``tests/check/test_fuzz.py`` pins.
+    """
     b = BOUNDS
-    protocol = str(rng.choice(b["protocols"]))
     cfg_kwargs: Dict[str, Any] = {
-        "protocol": protocol,
-        "seed": int(rng.integers(0, b["seed_max"])),
-        "mac": "ideal" if rng.random() < 0.5 else "csma",
-        "backoff_n": float(rng.integers(b["backoff_n"][0], b["backoff_n"][1] + 1)),
-        "backoff_w": float(rng.choice(b["backoff_w"])),
-        "hello_phase": bool(rng.random() < 0.25),
+        "protocol": d.choice(b["protocols"]),
+        "seed": d.integers(*b["seed"]),
+        "mac": d.weighted(("ideal", "csma"), (0.5, 0.5)),
+        "backoff_n": float(d.integers(*b["backoff_n"])),
+        "backoff_w": d.choice(b["backoff_w"]),
+        "hello_phase": d.coin(0.25),
     }
-    if rng.random() < 0.5:
-        nx_ = int(rng.integers(b["grid_dim"][0], b["grid_dim"][1] + 1))
-        ny = int(rng.integers(b["grid_dim"][0], b["grid_dim"][1] + 1))
-        spacing = float(rng.uniform(*b["grid_spacing"]))
+    if d.coin(0.5):
+        nx_, ny = d.integers(*b["grid_dim"]), d.integers(*b["grid_dim"])
         cfg_kwargs.update(
             topology="grid", grid_nx=nx_, grid_ny=ny,
-            side=spacing * (min(nx_, ny) - 1),
+            side=d.uniform(*b["grid_spacing"]) * (min(nx_, ny) - 1),
         )
         n = nx_ * ny
     else:
-        n = int(rng.integers(b["random_n"][0], b["random_n"][1] + 1))
+        n = d.integers(*b["random_n"])
         cfg_kwargs.update(
-            topology="random", random_nodes=n,
-            side=float(rng.uniform(*b["random_side"])),
+            topology="random", random_nodes=n, side=d.uniform(*b["random_side"])
         )
-    cfg_kwargs["group_size"] = int(rng.integers(1, min(b["group_max"], n - 1) + 1))
-    roll = rng.random()
-    if roll < 0.3:
-        cfg_kwargs.update(loss_model="iid", loss_rate=float(rng.uniform(*b["iid_loss"])))
-    elif roll < 0.6:
+    cfg_kwargs["group_size"] = d.integers(1, min(b["group_max"], n - 1))
+    loss = d.weighted(("iid", "gilbert", "none"), (0.3, 0.3, 0.4))
+    if loss == "iid":
+        cfg_kwargs.update(loss_model="iid", loss_rate=d.uniform(*b["iid_loss"]))
+    elif loss == "gilbert":
         cfg_kwargs.update(
             loss_model="gilbert",
-            ge_p_good_bad=float(rng.uniform(*b["ge_p_good_bad"])),
-            ge_p_bad_good=float(rng.uniform(*b["ge_p_bad_good"])),
+            ge_p_good_bad=d.uniform(*b["ge_p_good_bad"]),
+            ge_p_bad_good=d.uniform(*b["ge_p_bad_good"]),
         )
-    if rng.random() < 0.3:
-        cfg_kwargs["sessions"] = _draw_sessions_np(rng, n, cfg_kwargs["group_size"])
+    if d.coin(0.3):
+        cfg_kwargs["sessions"] = _draw_sessions(d, n, cfg_kwargs["group_size"])
     cfg = SimulationConfig(**cfg_kwargs)
 
-    faults: Tuple[Dict[str, Any], ...] = ()
-    if rng.random() < 0.6:
+    plan = FaultPlan()
+    if d.coin(0.6):
         window = cfg.effective_construction_time + 2.0
-        plan = FaultPlan()
-        for _ in range(int(rng.integers(1, b["max_faults"] + 1))):
-            victim = int(rng.integers(0, n))
-            t = float(rng.uniform(0.0, window))
-            if rng.random() < 0.5:
+        for _ in range(d.integers(1, b["max_faults"])):
+            victim, t = d.integers(0, n - 1), d.uniform(0.0, window)
+            if d.coin(0.5):
                 plan.crash(t, victim)
-                if rng.random() < 0.3:
-                    plan.recover(t + float(rng.uniform(*b["recover_delay"])), victim)
+                if d.coin(0.3):
+                    plan.recover(t + d.uniform(*b["recover_delay"]), victim)
             else:
-                plan.sleep(victim, t, float(rng.uniform(*b["sleep_duration"])))
-        faults = tuple(plan.to_dicts())
-
+                plan.sleep(victim, t, d.uniform(*b["sleep_duration"]))
     mobility = None
-    if rng.random() < 0.25:
+    if d.coin(0.25):
         mobility = {
             "speed_min": 0.5,
-            "speed_max": float(rng.uniform(*b["speed_max"])),
-            "pause": float(rng.uniform(*b["pause"])),
+            "speed_max": d.uniform(*b["speed_max"]),
+            "pause": d.uniform(*b["pause"]),
             "update_interval": 0.25,
         }
-    energy_budget = (
-        float(rng.uniform(*b["energy_budget"])) if rng.random() < 0.2 else None
-    )
-    refresh = (
-        float(rng.uniform(*b["refresh_interval"])) if rng.random() < 0.5 else None
-    )
+    energy_budget = d.uniform(*b["energy_budget"]) if d.coin(0.2) else None
+    refresh = d.uniform(*b["refresh_interval"]) if d.coin(0.5) else None
     repair = None
-    if rng.random() < 0.25:
+    if d.coin(0.25):
         repair = RepairPolicy(
-            repair_ttl=int(rng.integers(b["repair_ttl"][0], b["repair_ttl"][1] + 1)),
-            degraded_ttl=int(
-                rng.integers(b["degraded_ttl"][0], b["degraded_ttl"][1] + 1)
-            ),
-        ).to_dict()
-    return Scenario(
-        config=cfg,
-        faults=faults,
-        n_packets=int(rng.integers(b["n_packets"][0], b["n_packets"][1] + 1)),
-        rate_pps=float(rng.uniform(*b["rate_pps"])),
-        refresh_interval=refresh,
+            repair_ttl=d.integers(*b["repair_ttl"]),
+            degraded_ttl=d.integers(*b["degraded_ttl"]),
+        )
+    return cfg.with_(schedule=Schedule(
+        faults=tuple(plan.events),
         mobility=mobility,
         energy_budget=energy_budget,
+        refresh_interval=refresh,
         repair=repair,
-    )
+        n_packets=d.integers(*b["n_packets"]),
+        rate_pps=d.uniform(*b["rate_pps"]),
+    ))
+
+
+def random_scenario(rng: np.random.Generator) -> SimulationConfig:
+    """Draw one fuzz case on ``rng`` (the ``check`` CLI's generator)."""
+    return _draw_scenario(_NumpyDraws(rng))
 
 
 def scenario_strategy():
-    """Hypothesis strategy over the same space as :func:`random_scenario`.
+    """Hypothesis strategy over :func:`random_scenario`'s space.
 
-    Imported lazily so the module works without hypothesis installed
-    (the CLI path never needs it).
+    Hypothesis is imported lazily, so the CLI path never needs it.
     """
     from hypothesis import strategies as st
 
-    b = BOUNDS
-
-    @st.composite
-    def scenarios(draw) -> Scenario:
-        protocol = draw(st.sampled_from(b["protocols"]))
-        cfg_kwargs: Dict[str, Any] = {
-            "protocol": protocol,
-            "seed": draw(st.integers(0, b["seed_max"])),
-            "mac": draw(st.sampled_from(("ideal", "csma"))),
-            "backoff_n": float(draw(st.integers(*b["backoff_n"]))),
-            "backoff_w": draw(st.sampled_from(b["backoff_w"])),
-            "hello_phase": draw(st.booleans()),
-        }
-        if draw(st.booleans()):
-            nx_ = draw(st.integers(*b["grid_dim"]))
-            ny = draw(st.integers(*b["grid_dim"]))
-            spacing = draw(
-                st.floats(*b["grid_spacing"], allow_nan=False, allow_infinity=False)
-            )
-            cfg_kwargs.update(
-                topology="grid", grid_nx=nx_, grid_ny=ny,
-                side=spacing * (min(nx_, ny) - 1),
-            )
-            n = nx_ * ny
-        else:
-            n = draw(st.integers(*b["random_n"]))
-            cfg_kwargs.update(
-                topology="random", random_nodes=n,
-                side=draw(
-                    st.floats(*b["random_side"], allow_nan=False, allow_infinity=False)
-                ),
-            )
-        cfg_kwargs["group_size"] = draw(st.integers(1, min(b["group_max"], n - 1)))
-        loss = draw(st.sampled_from(("none", "iid", "gilbert")))
-        if loss == "iid":
-            cfg_kwargs.update(
-                loss_model="iid",
-                loss_rate=draw(st.floats(*b["iid_loss"], allow_nan=False)),
-            )
-        elif loss == "gilbert":
-            cfg_kwargs.update(
-                loss_model="gilbert",
-                ge_p_good_bad=draw(st.floats(*b["ge_p_good_bad"], allow_nan=False)),
-                ge_p_bad_good=draw(st.floats(*b["ge_p_bad_good"], allow_nan=False)),
-            )
-        if draw(st.booleans()):
-            k = draw(st.integers(2, b["max_sessions"]))
-            specs = []
-            for i in range(k):
-                if i == 0:
-                    source, group = 0, 1
-                    gsize = cfg_kwargs["group_size"]
-                else:
-                    source = draw(st.integers(0, n - 1))
-                    group = 1 + i
-                    gsize = draw(st.integers(1, min(b["session_group_max"], n - 1)))
-                specs.append(
-                    {
-                        "source": source,
-                        "group": group,
-                        "group_size": gsize,
-                        "start": draw(
-                            st.floats(*b["session_start"], allow_nan=False)
-                        ),
-                        "rate_pps": draw(
-                            st.floats(*b["session_rate"], allow_nan=False)
-                        ),
-                        "n_packets": draw(st.integers(*b["session_packets"])),
-                    }
-                )
-            cfg_kwargs["sessions"] = tuple(specs)
-        cfg = SimulationConfig(**cfg_kwargs)
-
-        window = cfg.effective_construction_time + 2.0
-        plan = FaultPlan()
-        for _ in range(draw(st.integers(0, b["max_faults"]))):
-            victim = draw(st.integers(0, n - 1))
-            t = draw(st.floats(0.0, window, allow_nan=False))
-            if draw(st.booleans()):
-                plan.crash(t, victim)
-                if draw(st.booleans()):
-                    plan.recover(
-                        t + draw(st.floats(*b["recover_delay"], allow_nan=False)),
-                        victim,
-                    )
-            else:
-                plan.sleep(
-                    victim, t, draw(st.floats(*b["sleep_duration"], allow_nan=False))
-                )
-
-        mobility = None
-        if draw(st.booleans()):
-            mobility = {
-                "speed_min": 0.5,
-                "speed_max": draw(st.floats(*b["speed_max"], allow_nan=False)),
-                "pause": draw(st.floats(*b["pause"], allow_nan=False)),
-                "update_interval": 0.25,
-            }
-        energy_budget = draw(
-            st.none() | st.floats(*b["energy_budget"], allow_nan=False)
-        )
-        refresh = draw(
-            st.none() | st.floats(*b["refresh_interval"], allow_nan=False)
-        )
-        repair = None
-        if draw(st.booleans()):
-            repair = RepairPolicy(
-                repair_ttl=draw(st.integers(*b["repair_ttl"])),
-                degraded_ttl=draw(st.integers(*b["degraded_ttl"])),
-            ).to_dict()
-        return Scenario(
-            config=cfg,
-            faults=tuple(plan.to_dicts()),
-            n_packets=draw(st.integers(*b["n_packets"])),
-            rate_pps=draw(st.floats(*b["rate_pps"], allow_nan=False)),
-            refresh_interval=refresh,
-            mobility=mobility,
-            energy_budget=energy_budget,
-            repair=repair,
-        )
-
-    return scenarios()
+    return st.composite(lambda draw: _draw_scenario(_HypothesisDraws(draw)))()
 
 
 # --------------------------------------------------------------------- #
 # corpus
 # --------------------------------------------------------------------- #
 def save_corpus_entry(
-    scenario: Scenario,
+    cfg: SimulationConfig,
     path,
     note: str = "",
     trace_sha256: Optional[str] = None,
 ) -> None:
-    """Serialise a scenario (plus optional pinned digest) as JSON."""
-    payload = {"note": note, "scenario": scenario.to_dict()}
+    """Serialise a fuzz case (plus optional pinned digest) as JSON."""
+    payload = {"note": note, "config": asdict(cfg)}
     if trace_sha256:
         payload["trace_sha256"] = trace_sha256
     Path(path).write_text(json.dumps(payload, indent=2, default=float) + "\n")
 
 
-def load_corpus_entry(path) -> Tuple[Scenario, Dict[str, Any]]:
-    """Read a corpus JSON back into a Scenario and its metadata."""
+def load_corpus_entry(path) -> Tuple[SimulationConfig, Dict[str, Any]]:
+    """Read a corpus JSON back into its config and its payload."""
     payload = json.loads(Path(path).read_text())
-    return Scenario.from_dict(payload["scenario"]), payload
+    return SimulationConfig(**payload["config"]), payload
 
 
 def replay_corpus_entry(path, mode: str = "raise") -> ScenarioReport:
@@ -525,13 +408,34 @@ def replay_corpus_entry(path, mode: str = "raise") -> ScenarioReport:
     ``mode="raise"``), or an :class:`AssertionError` when the entry pins
     a trace digest and the run no longer reproduces it.
     """
-    scenario, payload = load_corpus_entry(path)
-    report = run_scenario(scenario, mode=mode, context=f"corpus entry {path}")
+    cfg, payload = load_corpus_entry(path)
+    report = run_scenario(cfg, mode=mode, context=f"corpus entry {path}")
     expected = payload.get("trace_sha256")
     if expected and report.trace_sha256 != expected:
         raise AssertionError(
             f"corpus entry {path} no longer replays bit-identically: "
             f"trace sha256 {report.trace_sha256} != recorded {expected} "
-            f"(seed={scenario.config.seed})"
+            f"(seed={cfg.seed})"
         )
     return report
+
+
+def replay_corpus() -> Iterator[Tuple[Path, str, Union[ScenarioReport, AssertionError]]]:
+    """Replay every committed corpus entry, in name order.
+
+    Yields ``(path, note, outcome)`` per entry: its report, or the
+    :class:`AssertionError` (an invariant violation or a digest drift)
+    its replay raised.  The corpus is the working directory's
+    ``tests/corpus`` if there is one, else the source tree's, so the
+    CLIs gate on it from any directory.
+    """
+    corpus = CORPUS_DIR
+    if not corpus.is_dir():
+        corpus = Path(__file__).resolve().parents[3] / CORPUS_DIR
+    for path in sorted(corpus.glob("*.json")):
+        note = json.loads(path.read_text()).get("note", "")
+        try:
+            outcome = replay_corpus_entry(path)
+        except AssertionError as exc:
+            outcome = exc
+        yield path, note, outcome

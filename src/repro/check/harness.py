@@ -145,7 +145,7 @@ class CheckHarness(RunHook):
         """Hook into ``sim`` — call before the Network is constructed.
 
         ``context`` is any repr-able description of the run (typically
-        the :class:`SimulationConfig` or a fuzz ``Scenario``) embedded in
+        the :class:`SimulationConfig`, or a corpus entry's path) embedded in
         violation messages as the repro recipe.
         """
         if self._sim is not None:

@@ -229,9 +229,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workers", type=int, default=None,
         help="worker processes; fig5-fig8, load, faults, chaos, check (its "
-             "fuzz campaign) and traffic --traffic-campaign default to every "
-             "usable CPU, 1 keeps a campaign serial in this process; "
-             "ablations and serve default to 1",
+             "fuzz campaign) and traffic (the ramp or --traffic-campaign) "
+             "default to every usable CPU, 1 keeps a campaign serial in this "
+             "process; ablations and serve default to 1",
     )
     parser.add_argument(
         "--seed", type=int, default=None,
@@ -245,7 +245,8 @@ def main(argv=None) -> int:
         "--cache", action="store_true",
         help="store each run in results/cache/ as it finishes and replay "
              "stored runs, so a rerun resumes (sets REPRO_RESULT_CACHE; "
-             "delete the directory to invalidate)",
+             "delete the directory to invalidate); hooked campaigns "
+             "(faults, load, chaos, check) neither read nor write it",
     )
     parser.add_argument(
         "--obs-out", default="results/obs",

@@ -422,9 +422,7 @@ def _comparison_campaign(seed: int, runs: int = 3, workers: Optional[int] = None
 
 def _digest_gate(seed: int) -> int:
     """Flag-off reproducibility + committed-corpus digest drift; 0 = clean."""
-    from pathlib import Path
-
-    from repro.check.fuzz import replay_corpus_entry
+    from repro.check.fuzz import replay_corpus
 
     failures = 0
     print("\n-- flag-off digest gate --")
@@ -436,22 +434,14 @@ def _digest_gate(seed: int) -> int:
         print(f"  FAIL flag-off run is not reproducible (seed {seed})")
     else:
         print(f"  ok   flag-off replay bit-identical ({a.trace_sha256[:12]}...)")
-    # the committed corpus lives in the repo checkout, not the package —
-    # fall back from the cwd to the source tree so the gate also works
-    # when the CLI is launched from elsewhere
-    corpus = Path("tests/corpus")
-    if not corpus.is_dir():
-        corpus = Path(__file__).resolve().parents[3] / "tests" / "corpus"
-    entries = sorted(corpus.glob("*.json"))
-    if not entries:
+    outcomes = list(replay_corpus())
+    if not outcomes:
         print("  note: no corpus entries found — digest gate ran "
               "flag-off replay only")
-    for path in entries:
-        try:
-            replay_corpus_entry(path, mode="raise")
-        except AssertionError as exc:
+    for path, _note, outcome in outcomes:
+        if isinstance(outcome, AssertionError):
             failures += 1
-            print(f"  FAIL {path.name}: {str(exc).splitlines()[0]}")
+            print(f"  FAIL {path.name}: {str(outcome).splitlines()[0]}")
         else:
             print(f"  ok   {path.name}")
     return failures

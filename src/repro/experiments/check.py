@@ -15,7 +15,9 @@ Composes the three :mod:`repro.check` pillars into one command::
 3. **cross-protocol** — identical-seed delivery/cost comparison of
    MTMRP against ODMRP / GMR / MAODV at paper scale.
 4. **corpus replay** — every committed ``tests/corpus/*.json`` entry is
-   re-run and must stay violation-free (and digest-stable when pinned).
+   re-run and must stay violation-free (and digest-stable when pinned);
+   the corpus is found from any working directory
+   (:func:`~repro.check.fuzz.replay_corpus`).
 
 Exits non-zero when any violation or corpus regression is found, so CI
 can gate on it directly.
@@ -23,7 +25,6 @@ can gate on it directly.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -34,43 +35,37 @@ __all__ = ["run_check"]
 #: where violating fuzz scenarios are written for later triage
 FAILURE_DIR = Path("results/check_failures")
 
-#: committed regression corpus replayed on every campaign
-CORPUS_DIR = Path("tests/corpus")
-
 
 def _fuzz_campaign(runs: int, seed: int, workers=None) -> int:
-    from repro.check.fuzz import random_scenario, save_corpus_entry, scenario_hooks
+    from repro.check.fuzz import describe, random_scenario, save_corpus_entry, scenario_hooks
     from repro.experiments.runner import RunError, run_many
 
     print(f"\n-- fuzz: {runs} random scenarios (seed {seed}) --")
     rng = np.random.default_rng(seed)
-    scenarios = [random_scenario(rng) for _ in range(runs)]
+    cfgs = [random_scenario(rng) for _ in range(runs)]
     # One poisoned scenario must not kill the campaign: a crash in the
     # simulator is itself a finding — record it (with the seed that
     # reproduces it) exactly like an invariant violation.
-    results = run_many(
-        [sc.run_config() for sc in scenarios], workers=workers,
-        hooks=scenario_hooks, on_error="collect",
-    )
+    results = run_many(cfgs, workers=workers, hooks=scenario_hooks, on_error="collect")
     failures = 0
-    for i, (scenario, res) in enumerate(zip(scenarios, results)):
+    for i, (cfg, res) in enumerate(zip(cfgs, results)):
         report = None if isinstance(res, RunError) else res.reports[-1]
         if report is not None and report.ok:
             continue
         failures += 1
         FAILURE_DIR.mkdir(parents=True, exist_ok=True)
-        out = FAILURE_DIR / f"seed{scenario.config.seed}.json"
+        out = FAILURE_DIR / f"seed{cfg.seed}.json"
         if report is None:
-            save_corpus_entry(scenario, out, note=f"crash: {res}")
+            save_corpus_entry(cfg, out, note=f"crash: {res}")
             found = [f"CRASH {res}"]
         else:
             save_corpus_entry(
-                scenario, out,
+                cfg, out,
                 note="; ".join(sorted({v.invariant for v in report.violations})),
                 trace_sha256=report.trace_sha256,
             )
             found = [str(v).splitlines()[0] for v in report.violations[:5]]
-        print(f"  [{i:3d}] {scenario.describe()}")
+        print(f"  [{i:3d}] {describe(cfg)}")
         for line in found:
             print(f"        {line}")
         print(f"        -> scenario saved to {out}")
@@ -119,20 +114,17 @@ def _cross_protocol_campaign(seed: int) -> None:
 
 
 def _replay_corpus() -> int:
-    from repro.check.fuzz import replay_corpus_entry
+    from repro.check.fuzz import replay_corpus
 
-    entries = sorted(CORPUS_DIR.glob("*.json"))
-    print(f"\n-- corpus replay: {len(entries)} committed entries --")
+    outcomes = list(replay_corpus())
+    print(f"\n-- corpus replay: {len(outcomes)} committed entries --")
     failures = 0
-    for path in entries:
-        note = json.loads(path.read_text()).get("note", "")
-        try:
-            report = replay_corpus_entry(path, mode="raise")
-        except AssertionError as exc:
+    for path, note, outcome in outcomes:
+        if isinstance(outcome, AssertionError):
             failures += 1
-            print(f"  FAIL {path.name}: {str(exc).splitlines()[0]}")
-            continue
-        print(f"  ok   {path.name:36s} {len(report.checkpoints)} checkpoints  {note}")
+            print(f"  FAIL {path.name}: {str(outcome).splitlines()[0]}")
+        else:
+            print(f"  ok   {path.name:36s} {len(outcome.checkpoints)} checkpoints  {note}")
     return failures
 
 

@@ -7,8 +7,8 @@ runs grouped by prefix, and chunks of single runs — and executes them on
 the host's usable CPUs through a *persistent* process pool shared by
 every campaign (creating a pool per sweep point paid worker spawn +
 module import over and over).  ``workers=1`` runs the same plan
-in-process.  Results stream back as tasks finish, so a progress callback
-sees completions immediately.
+in-process.  Results stream back as tasks finish, so an ``on_result``
+callback sees completions immediately.
 
 Warm starts: paired sweeps (same seed, varying protocol or tuning
 parameters) rebuild an identical prefix — topology, channel, HELLO
@@ -258,10 +258,11 @@ def run_single(
     cache:
         Result store directory (a :class:`ResultStore`): a path uses
         that directory, True or None (default) ``$REPRO_RESULT_CACHE``
-        if it is set, and False none.  A stored result is replayed
-        unless the call keeps positions, takes an external trace or
-        carries hooks, which a stored result cannot give back; the
-        finished run is written whenever it is storeable.
+        if it is set, and False none.  A call that keeps positions,
+        takes an external trace or carries hooks neither reads nor
+        writes the store, since a stored result cannot give those back;
+        any other replays a stored result, or writes its own when it is
+        storeable.
     warm_start:
         Fork the run's prefix (topology/channel/HELLO warmup) from a
         warm snapshot instead of rebuilding it — bit-identical to the
@@ -282,9 +283,10 @@ def run_single(
         Without any (the default) the run executes no hook code.
     """
     hooks = tuple(hooks)
-    store_dir = _store_dir(cache)
+    replayable = not keep_positions and trace is None and not hooks
+    store_dir = _store_dir(cache) if replayable else None
     store = None if store_dir is None else ResultStore(store_dir)
-    if store is not None and not keep_positions and trace is None and not hooks:
+    if store is not None:
         stored = store.get(cfg)
         if stored is not None:
             return stored
@@ -926,9 +928,8 @@ def _run_task(task: _Task, hooks=None, cache: Union[bool, Path] = False) -> tupl
 def run_many(
     configs: Iterable[SimulationConfig],
     workers: Optional[int] = None,
-    progress: Optional[Callable[[int, int, RunResult], None]] = None,
     on_error: str = "raise",
-    warm: Union[bool, str] = False,
+    warm: bool = False,
     chunk_size: Optional[int] = None,
     on_result: Optional[Callable[[int, RunResult], None]] = None,
     batch: int = 0,
@@ -945,10 +946,10 @@ def run_many(
     ``workers=1`` is the path to profile: pool workers are invisible to a
     profiler attached to the parent.  Every task is a pure function of
     its configs, so results are bit-identical at any worker count.
-    Results stream back as tasks finish: ``progress(done, total,
-    result)`` fires per completed run, ``on_result(index, result)``
-    additionally reports the run's position in ``configs`` (checkpointing
-    callers need the identity, not just the order of completion).
+    Results stream back as tasks finish: ``on_result(index, result)``
+    fires per completed run with the run's position in ``configs``
+    (checkpointing callers need the identity, not just the order of
+    completion).
 
     ``on_error="raise"`` (default) aborts on the first failure with a
     :class:`RunError` naming the config/seed/index; ``"collect"`` keeps
@@ -967,10 +968,9 @@ def run_many(
 
     ``warm=True`` forks run prefixes from per-process snapshot caches
     where profitable (HELLO-phase / dense-channel configs — see
-    :func:`repro.sim.snapshot.warm_profitable`); ``warm="always"``
-    forces forking for every config.  Warm runs are grouped by prefix,
-    so each process captures a prefix at most once.  Results are
-    bit-identical either way.
+    :func:`repro.sim.snapshot.warm_profitable`).  Warm runs are grouped
+    by prefix, so each process captures a prefix at most once.  Results
+    are bit-identical either way.
 
     ``batch=N`` routes eligible configs through the vectorized many-seed
     kernel (:func:`repro.sim.batch.run_batch`).  Configs sharing a
@@ -990,8 +990,8 @@ def run_many(
     there is nothing to fork or batch: ``hooks`` with ``warm`` or
     ``batch`` raises ValueError.
 
-    With ``$REPRO_RESULT_CACHE`` set, unbatched runs go through a
-    :class:`ResultStore` there (see :func:`run_single`): each run is
+    With ``$REPRO_RESULT_CACHE`` set, unbatched unhooked runs go through
+    a :class:`ResultStore` there (see :func:`run_single`): each run is
     written as it finishes, and a rerun of the campaign replays it.  The
     directory is read here, once, so pool workers use the caller's.
     """
@@ -1002,19 +1002,16 @@ def run_many(
     cfgs = list(configs)
     total = len(cfgs)
     workers = max(1, resolve_workers(workers, total))
-    force = warm == "always"
-    flags = [bool(warm) and (force or warm_profitable(c)) for c in cfgs]
+    flags = [warm and warm_profitable(c) for c in cfgs]
     tasks = _plan(cfgs, workers, flags, batch, chunk_size)
     # workers keep the environment and working directory they were forked with
     store_dir = _store_dir(None)
     cache = False if store_dir is None else store_dir.absolute()
     slots: List[Optional[RunResult]] = [None] * total
-    done = 0
 
     def land(idx: int, res, failure) -> None:
         # ``failure``: an in-process run's exception, or the
         # ``(repr, traceback)`` pair a pool worker shipped
-        nonlocal done
         if failure is not None:
             if isinstance(failure, Exception):
                 err, cause = _run_error(cfgs[idx], idx, repr(failure)), failure
@@ -1025,11 +1022,8 @@ def run_many(
                 raise err from cause
             res = err
         slots[idx] = res
-        done += 1
         if on_result is not None:
             on_result(idx, res)
-        if progress is not None:
-            progress(done, total, res)
 
     if workers == 1 or len(tasks) <= 1:
         with _EXEC_LOCK:

@@ -25,7 +25,7 @@ exits non-zero — see ``.github/workflows/ci.yml``.
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import run_many, run_single
@@ -44,7 +44,7 @@ __all__ = [
 RAMP_PROTOCOLS: Tuple[str, ...] = ("mtmrp", "odmrp")
 
 
-def _mean(values: Sequence[float]) -> float:
+def _mean(values: Iterable[float]) -> float:
     vals = list(values)
     return sum(vals) / len(vals) if vals else 0.0
 
@@ -55,45 +55,37 @@ def session_ramp(
     protocols: Sequence[str] = RAMP_PROTOCOLS,
     mac: str = "csma",
     base_seed: int = 0,
+    workers: Optional[int] = None,
 ) -> Dict[int, Dict[str, Dict[str, float]]]:
     """``{n_sessions: {protocol: averaged traffic measures}}`` for 1..max.
 
     Each cell averages ``runs`` seed-varied rounds of the canonical
-    :func:`~repro.traffic.spec.ramp_plan` on the default grid.  The
-    contention MAC is the default because saturation is a contention
-    phenomenon; pass ``mac="ideal"`` for the lossless parity view.
+    :func:`~repro.traffic.spec.ramp_plan` on the default grid; the whole
+    ramp is one :func:`~repro.experiments.runner.run_many` campaign
+    (``workers`` as there).  The contention MAC is the default because
+    saturation is a contention phenomenon; pass ``mac="ideal"`` for the
+    lossless parity view.
     """
-    out: Dict[int, Dict[str, Dict[str, float]]] = {}
     base = SimulationConfig(mac=mac)
-    for n in range(1, max_sessions + 1):
-        plan = ramp_plan(base, n)
+    counts = range(1, max_sessions + 1)
+    plans = {n: ramp_plan(base, n) for n in counts}
+    cfgs = [
+        base.with_(protocol=proto, seed=base_seed + r, sessions=plans[n])
+        for n in counts for proto in protocols for r in range(runs)
+    ]
+    results = iter(run_many(cfgs, workers=workers))
+    out: Dict[int, Dict[str, Dict[str, float]]] = {}
+    for n in counts:
         out[n] = {}
         for proto in protocols:
-            ratios: List[float] = []
-            fairness: List[float] = []
-            shared: List[float] = []
-            data_tx: List[float] = []
-            goodput: List[float] = []
-            saturated = 0
-            for r in range(runs):
-                cfg = base.with_(
-                    protocol=proto, seed=base_seed + r, sessions=plan
-                )
-                res = run_single(cfg, cache=False)
-                tm = res.traffic
-                ratios.append(tm.aggregate_delivery_ratio)
-                fairness.append(tm.fairness)
-                shared.append(tm.shared_forwarder_ratio)
-                data_tx.append(tm.aggregate_data_tx)
-                goodput.append(sum(s.goodput for s in tm.sessions))
-                saturated += int(tm.saturated)
+            cell = [next(results).traffic for _ in range(runs)]
             out[n][proto] = {
-                "delivery_ratio": _mean(ratios),
-                "fairness": _mean(fairness),
-                "shared_forwarder_ratio": _mean(shared),
-                "data_tx": _mean(data_tx),
-                "goodput_rps": _mean(goodput),
-                "saturated_frac": saturated / runs if runs else 0.0,
+                "delivery_ratio": _mean(tm.aggregate_delivery_ratio for tm in cell),
+                "fairness": _mean(tm.fairness for tm in cell),
+                "shared_forwarder_ratio": _mean(tm.shared_forwarder_ratio for tm in cell),
+                "data_tx": _mean(tm.aggregate_data_tx for tm in cell),
+                "goodput_rps": _mean(sum(s.goodput for s in tm.sessions) for tm in cell),
+                "saturated_frac": _mean(int(tm.saturated) for tm in cell),
             }
     return out
 
@@ -245,7 +237,7 @@ def run_traffic(args) -> None:
         f"\n== Session ramp 1..{max_sessions} "
         f"(grid, csma, {runs} runs/point, MTMRP vs ODMRP) =="
     )
-    ramp = session_ramp(max_sessions=max_sessions, runs=runs)
+    ramp = session_ramp(max_sessions=max_sessions, runs=runs, workers=args.workers)
     hdr = (
         f"{'n':>3}"
         + "".join(

@@ -539,20 +539,11 @@ class OnDemandMulticastAgent(Agent):
         )
 
     def _monitor_tick(self, source: int, group: int, interval: float) -> None:
-        key = (source, group)
-        if key not in self._monitor_events:
-            return  # stopped
         if self.node.is_active:
             self.check_route_health(source, group)
-        self._monitor_events[key] = self.sim.schedule(
+        self._monitor_events[(source, group)] = self.sim.schedule(
             interval, self._monitor_tick, source, group, interval
         )
-
-    def stop_route_monitor(self, source: int, group: int) -> None:
-        """Receiver: cancel the route-health watchdog for ``(source, group)``."""
-        ev = self._monitor_events.pop((source, group), None)
-        if ev is not None:
-            self.sim.cancel(ev)
 
     def check_route_health(self, source: int, group: int) -> bool:
         """Is the neighbor we last got data from still alive in our table?

@@ -25,7 +25,7 @@ no trace records — flag-off runs stay byte-identical to the seed digests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Any, Dict
 
@@ -75,17 +75,7 @@ class RepairPolicy:
     degraded_ttl: int = 4
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "repair_ttl": self.repair_ttl,
-            "max_graft_attempts": self.max_graft_attempts,
-            "graft_timeout": self.graft_timeout,
-            "rebuild_timeout": self.rebuild_timeout,
-            "max_rebuild_attempts": self.max_rebuild_attempts,
-            "backoff_factor": self.backoff_factor,
-            "backoff_jitter": self.backoff_jitter,
-            "route_error_budget": self.route_error_budget,
-            "degraded_ttl": self.degraded_ttl,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "RepairPolicy":

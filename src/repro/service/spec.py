@@ -114,17 +114,6 @@ class CampaignSpec:
         except (TypeError, ValueError) as exc:
             raise SpecError(f"invalid campaign spec: {exc}") from exc
 
-    def to_payload(self) -> Dict[str, Any]:
-        """The JSON payload reproducing this spec (client convenience)."""
-        import dataclasses
-
-        cfg = dataclasses.asdict(self.config)
-        return {
-            "config": cfg,
-            "replicates": self.replicates,
-            "batch_seed": self.batch_seed,
-        }
-
     def configs(self) -> Tuple[SimulationConfig, ...]:
         """The replicate expansion (pure function of the payload)."""
         if self.replicates <= 1:

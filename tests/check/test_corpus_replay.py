@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.fuzz import replay_corpus_entry
+from repro.check.fuzz import load_corpus_entry, replay_corpus_entry
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 ENTRIES = sorted(CORPUS_DIR.glob("*.json"))
@@ -45,7 +45,7 @@ def test_graft_entry_heals_without_flood():
     # local graft, so the run replays clean AND every receiver got data
     path = CORPUS_DIR / "007-graft-success.json"
     report = replay_corpus_entry(path, mode="raise")
-    assert report.scenario.repair is not None
+    assert load_corpus_entry(path)[0].schedule.repair is not None
     assert report.delivered_receivers == report.n_receivers
 
 
@@ -55,12 +55,28 @@ def test_degraded_entry_replays_clean():
     # which check_repair validates at the end-of-run checkpoint
     path = CORPUS_DIR / "008-degraded-fallback.json"
     report = replay_corpus_entry(path, mode="raise")
-    assert report.scenario.repair is not None
-    assert report.scenario.repair["route_error_budget"] == 1
+    repair = load_corpus_entry(path)[0].schedule.repair
+    assert repair is not None
+    assert repair.route_error_budget == 1
     assert report.ok
 
 
 def test_corpus_entries_are_well_formed():
     for path in ENTRIES:
         doc = json.loads(path.read_text())
-        assert "scenario" in doc and "note" in doc, path.name
+        assert set(doc) == {"note", "config", "trace_sha256"}, path.name
+        assert doc["config"]["schedule"] is not None, path.name
+
+
+def test_corpus_replays_from_any_directory(tmp_path, monkeypatch, capsys):
+    """``replay_corpus`` falls back to the source tree's corpus, so the
+    ``check`` CLI's corpus stage gates on every entry from any working
+    directory."""
+    from repro.experiments.check import _replay_corpus
+
+    monkeypatch.chdir(tmp_path)
+    assert _replay_corpus() == 0
+    out = capsys.readouterr().out
+    assert f"-- corpus replay: {len(ENTRIES)} committed entries --" in out
+    for path in ENTRIES:
+        assert f"  ok   {path.name}" in out

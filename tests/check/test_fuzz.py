@@ -1,8 +1,8 @@
 """Property-based protocol fuzzing under the invariant harness.
 
-The central property: *no reachable scenario violates any invariant*.
+The central property: *no reachable fuzz case violates any invariant*.
 Hypothesis explores the scenario space (topology, receivers, loss,
-faults, mobility, energy budgets); every generated scenario executes a
+faults, mobility, energy budgets); every generated config executes a
 full simulation under a ``CheckHarness`` and must come back clean.
 The suite-wide ``derandomized`` profile (tests/conftest.py) keeps the
 explored examples identical across machines; falsifying examples get
@@ -11,7 +11,9 @@ shrunk and should be committed to ``tests/corpus/``.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 
 from repro.check.fuzz import (
     BOUNDS,
-    Scenario,
+    describe,
     load_corpus_entry,
     random_scenario,
     replay_corpus_entry,
@@ -27,17 +29,30 @@ from repro.check.fuzz import (
     save_corpus_entry,
     scenario_strategy,
 )
-from repro.experiments.config import SimulationConfig
+from repro.experiments.config import Schedule, SimulationConfig
+from repro.experiments.runner import config_hash
+
+#: sha256 over the ``config_hash`` of the first 200 configs the ``check``
+#: CLI draws at a seed: the CLI default, and 7.  A change to the draw
+#: order changes which configs every ``check --seed S`` campaign runs.
+DRAW_STREAM = {
+    20260805: "536146b886613830b2262efd1ec2c4a960aba3d02f83357af7ca2ae4b1b32398",
+    7: "ab951bd268c92eba8e8ebe4d393e0fa4c1103fcbbe04e9d16439b6272285587d",
+}
+
+
+def _roundtrip(cfg: SimulationConfig) -> SimulationConfig:
+    return SimulationConfig(**json.loads(json.dumps(asdict(cfg))))
 
 
 @settings(max_examples=25)
 @given(scenario_strategy())
-def test_no_scenario_violates_invariants(scenario):
-    report = run_scenario(scenario, mode="collect")
+def test_no_scenario_violates_invariants(cfg):
+    report = run_scenario(cfg, mode="collect")
     assert report.ok, (
-        f"invariant violations in fuzzed scenario {scenario.describe()}:\n"
+        f"invariant violations in fuzzed config {describe(cfg)}:\n"
         + "\n".join(str(v).splitlines()[0] for v in report.violations)
-        + f"\nrepro: Scenario.from_dict({scenario.to_dict()!r})"
+        + f"\nrepro: SimulationConfig(**{asdict(cfg)!r})"
     )
     # both scheduled checkpoints ran (route-error ones may add more)
     assert report.checkpoints[0] == "route-discovery"
@@ -46,52 +61,62 @@ def test_no_scenario_violates_invariants(scenario):
 
 @settings(max_examples=10)
 @given(scenario_strategy())
-def test_scenario_roundtrips_through_json(scenario):
-    wire = json.loads(json.dumps(scenario.to_dict()))
-    assert Scenario.from_dict(wire) == scenario
+def test_scenario_roundtrips_through_json(cfg):
+    assert cfg.schedule is not None
+    assert _roundtrip(cfg) == cfg
+
+
+@pytest.mark.parametrize("seed", sorted(DRAW_STREAM))
+def test_cli_draw_stream_is_pinned(seed):
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        digest.update(config_hash(random_scenario(rng)).encode())
+    assert digest.hexdigest() == DRAW_STREAM[seed]
 
 
 def test_random_scenario_generator_stays_in_bounds():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        sc = random_scenario(rng)
-        assert isinstance(sc.config, SimulationConfig)
-        assert sc.config.protocol in BOUNDS["protocols"]
-        assert 1 <= sc.config.group_size <= BOUNDS["group_max"]
-        assert BOUNDS["n_packets"][0] <= sc.n_packets <= BOUNDS["n_packets"][1]
-        for ev in sc.faults:
-            assert set(ev) == {"time", "node", "kind"}
-            assert 0 <= ev["node"] < sc.config.n_nodes
+        cfg = random_scenario(rng)
+        assert isinstance(cfg, SimulationConfig)
+        assert cfg.protocol in BOUNDS["protocols"]
+        assert 1 <= cfg.group_size <= BOUNDS["group_max"]
+        assert BOUNDS["n_packets"][0] <= cfg.schedule.n_packets <= BOUNDS["n_packets"][1]
+        for ev in cfg.schedule.faults:
+            assert 0 <= ev.node < cfg.n_nodes
 
 
 def test_run_scenario_is_deterministic():
     rng = np.random.default_rng(3)
-    sc = random_scenario(rng)
-    a = run_scenario(sc, mode="collect")
-    b = run_scenario(sc, mode="collect")
+    cfg = random_scenario(rng)
+    a = run_scenario(cfg, mode="collect")
+    b = run_scenario(cfg, mode="collect")
     assert a.trace_sha256 == b.trace_sha256
     assert a.checkpoints == b.checkpoints
     assert a.delivered_receivers == b.delivered_receivers
+
+
+def _multi_session(seed: int, k: int = 1) -> list:
+    rng = np.random.default_rng(seed)
+    draws = (random_scenario(rng) for _ in range(60))
+    return [cfg for cfg in draws if cfg.sessions is not None][:k]
 
 
 class TestSessionAxis:
     """The multi-session dimension of the scenario space."""
 
     def test_generators_draw_multi_session_scenarios(self):
-        rng = np.random.default_rng(7)
-        multi = [
-            sc for sc in (random_scenario(rng) for _ in range(60))
-            if sc.config.sessions is not None
-        ]
+        multi = _multi_session(7, k=60)
         assert multi, "the session axis never fires at p=0.3 over 60 draws"
-        for sc in multi:
-            specs = sc.config.sessions
+        for cfg in multi:
+            specs = cfg.sessions
             assert 2 <= len(specs) <= BOUNDS["max_sessions"]
             # first session is always the config's own flow
-            assert specs[0].flow == (sc.config.source, sc.config.group)
-            assert specs[0].group_size == sc.config.group_size
+            assert specs[0].flow == (cfg.source, cfg.group)
+            assert specs[0].group_size == cfg.group_size
             for spec in specs:
-                assert 0 <= spec.source < sc.config.n_nodes
+                assert 0 <= spec.source < cfg.n_nodes
                 assert (
                     BOUNDS["session_packets"][0]
                     <= spec.n_packets
@@ -99,79 +124,62 @@ class TestSessionAxis:
                 )
 
     def test_multi_session_scenario_roundtrips(self):
-        rng = np.random.default_rng(7)
-        sc = next(
-            s for s in (random_scenario(rng) for _ in range(60))
-            if s.config.sessions is not None
-        )
-        wire = json.loads(json.dumps(sc.to_dict()))
-        again = Scenario.from_dict(wire)
-        assert again == sc
-        assert again.config.sessions == sc.config.sessions
+        (cfg,) = _multi_session(7)
+        again = _roundtrip(cfg)
+        assert again == cfg
+        assert again.sessions == cfg.sessions
 
     def test_multi_session_scenarios_hold_invariants(self):
         """Three derandomized multi-session runs under the harness."""
-        rng = np.random.default_rng(7)
-        multi = [
-            sc for sc in (random_scenario(rng) for _ in range(60))
-            if sc.config.sessions is not None
-        ][:3]
+        multi = _multi_session(7, k=3)
         assert len(multi) == 3
-        for sc in multi:
-            report = run_scenario(sc, mode="collect")
+        for cfg in multi:
+            report = run_scenario(cfg, mode="collect")
             assert report.ok, (
-                f"violations in {sc.describe()}:\n"
+                f"violations in {describe(cfg)}:\n"
                 + "\n".join(str(v).splitlines()[0] for v in report.violations)
             )
             assert report.checkpoints[0] == "route-discovery"
             assert report.checkpoints[-1] == "end-of-run"
             assert report.n_receivers == sum(
-                spec.n_receivers() for spec in sc.config.sessions
+                spec.n_receivers() for spec in cfg.sessions
             )
 
     def test_multi_session_replay_is_deterministic(self):
-        rng = np.random.default_rng(11)
-        sc = next(
-            s for s in (random_scenario(rng) for _ in range(60))
-            if s.config.sessions is not None
-        )
-        a = run_scenario(sc, mode="collect")
-        b = run_scenario(sc, mode="collect")
+        (cfg,) = _multi_session(11)
+        a = run_scenario(cfg, mode="collect")
+        b = run_scenario(cfg, mode="collect")
         assert a.trace_sha256 == b.trace_sha256
         assert a.delivered_receivers == b.delivered_receivers
 
 
 class TestCorpusIO:
-    def _scenario(self):
-        return Scenario(
-            config=SimulationConfig(
-                protocol="mtmrp", topology="grid", grid_nx=3, grid_ny=3,
-                side=60.0, group_size=2, seed=77, mac="ideal",
-            ),
-            faults=({"time": 0.5, "node": 4, "kind": "crash"},),
-            n_packets=1,
-        )
+    CFG = SimulationConfig(
+        protocol="mtmrp", topology="grid", grid_nx=3, grid_ny=3,
+        side=60.0, group_size=2, seed=77, mac="ideal",
+        schedule=Schedule(
+            faults=({"time": 0.5, "node": 4, "kind": "crash"},), n_packets=1
+        ),
+    )
 
     def test_save_load_roundtrip(self, tmp_path):
-        sc = self._scenario()
         path = tmp_path / "entry.json"
-        save_corpus_entry(sc, path, note="unit")
+        save_corpus_entry(self.CFG, path, note="unit")
         loaded, payload = load_corpus_entry(path)
-        assert loaded == sc
+        assert loaded == self.CFG
         assert payload["note"] == "unit"
+        assert set(payload) == {"note", "config"}
 
     def test_replay_checks_pinned_digest(self, tmp_path):
-        sc = self._scenario()
         path = tmp_path / "entry.json"
-        report = run_scenario(sc, mode="collect")
+        report = run_scenario(self.CFG, mode="collect")
         assert report.ok
-        save_corpus_entry(sc, path, trace_sha256=report.trace_sha256)
+        save_corpus_entry(self.CFG, path, trace_sha256=report.trace_sha256)
         replayed = replay_corpus_entry(path, mode="raise")  # must not raise
         assert replayed.trace_sha256 == report.trace_sha256
 
     def test_replay_names_file_on_digest_mismatch(self, tmp_path):
-        sc = self._scenario()
         path = tmp_path / "entry.json"
-        save_corpus_entry(sc, path, trace_sha256="0" * 64)
+        save_corpus_entry(self.CFG, path, trace_sha256="0" * 64)
         with pytest.raises(AssertionError, match="entry.json"):
             replay_corpus_entry(path, mode="raise")

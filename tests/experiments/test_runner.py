@@ -98,18 +98,6 @@ class TestMonteCarlo:
 
 
 class TestRunManyStreaming:
-    def test_progress_fires_per_completion_in_order(self):
-        cfg = SimulationConfig(protocol="odmrp", **FAST)
-        seen = []
-        results = run_many(
-            monte_carlo(cfg, 3, batch_seed=4),
-            workers=1,
-            progress=lambda done, total, r: seen.append((done, total, r.seed)),
-        )
-        assert [d for d, _t, _s in seen] == [1, 2, 3]
-        assert all(t == 3 for _d, t, _s in seen)
-        assert [s for _d, _t, s in seen] == [r.seed for r in results]
-
     def test_parallel_results_keep_config_order(self):
         cfg = SimulationConfig(protocol="odmrp", **FAST)
         cfgs = monte_carlo(cfg, 4, batch_seed=3)
@@ -152,6 +140,16 @@ class TestResultCache:
         tr = TraceRecorder()
         run_single(cfg, cache=tmp_path, trace=tr)
         assert len(tr) > 0  # a cache hit could never fill the recorder
+
+    def test_runs_the_store_cannot_replay_never_write_it(self, tmp_path):
+        from repro.experiments.config import Schedule
+        from repro.experiments.faults import FaultMeter
+        from repro.sim.trace import TraceRecorder
+
+        cfg = SimulationConfig(protocol="mtmrp", seed=6, schedule=Schedule(n_packets=2), **FAST)
+        run_single(cfg, cache=tmp_path, hooks=[FaultMeter()])
+        run_single(cfg, cache=tmp_path, trace=TraceRecorder())
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_campaign_uses_the_callers_store(self, tmp_path, monkeypatch, workers):
@@ -288,7 +286,7 @@ class TestWarmRunMany:
         cfgs += [c.with_(protocol="odmrp") for c in cfgs]
         cold = run_many(cfgs, workers=1)
         assert run_many(cfgs, workers=1, warm=True) == cold
-        assert run_many(cfgs, workers=1, warm="always") == cold
+        assert [run_single(c, warm_start=True) for c in cfgs] == cold
         assert run_many(cfgs, workers=2, warm=True) == cold
 
 

@@ -1,7 +1,7 @@
 """Output pins for the extension sweeps, at one CPU and on a two-worker pool.
 
-The fault, load and chaos sweeps and the multi-session traffic campaign
-each run many scheduled runs and fold them into a summary.  These
+The fault, load and chaos sweeps, the multi-session traffic campaign and
+the session ramp each run many runs and fold them into a summary.  These
 constants pin the full summaries for fixed seeds, so a change to how the
 runs are scheduled or executed (serially in this process, or on the
 process pool) must leave every number byte-identical.  NaN entries
@@ -16,7 +16,7 @@ import pytest
 from repro.experiments.chaos import _SOAK_KWARGS, chaos_sweep
 from repro.experiments.faults import fault_sweep
 from repro.experiments.load import load_sweep
-from repro.experiments.traffic import traffic_campaign
+from repro.experiments.traffic import session_ramp, traffic_campaign
 
 NAN = float("nan")
 
@@ -71,6 +71,23 @@ CHAOS_PIN = {
 #: (violations, delivered receiver-sessions)
 TRAFFIC_PIN = (0, 96)
 
+RAMP_PIN = {
+    1: {
+        "mtmrp": {"delivery_ratio": 1.0, "fairness": 1.0, "shared_forwarder_ratio": 0.0,
+                  "data_tx": 31.0, "goodput_rps": 5.161290322580645, "saturated_frac": 0.0},
+        "odmrp": {"delivery_ratio": 1.0, "fairness": 1.0, "shared_forwarder_ratio": 0.0,
+                  "data_tx": 29.0, "goodput_rps": 5.161290322580645, "saturated_frac": 0.0},
+    },
+    2: {
+        "mtmrp": {"delivery_ratio": 1.0, "fairness": 1.0,
+                  "shared_forwarder_ratio": 0.04816017316017316, "data_tx": 68.0,
+                  "goodput_rps": 9.937409725565718, "saturated_frac": 0.0},
+        "odmrp": {"delivery_ratio": 1.0, "fairness": 1.0,
+                  "shared_forwarder_ratio": 0.08084239130434782, "data_tx": 63.0,
+                  "goodput_rps": 9.937409725565718, "saturated_frac": 0.0},
+    },
+}
+
 
 def _same(got, want) -> bool:
     """Structural equality where NaN equals NaN."""
@@ -90,6 +107,7 @@ SWEEPS = {
     "chaos": (lambda: chaos_sweep(protocols=("mtmrp", "gmr"), runs=2, **_SOAK_KWARGS),
               CHAOS_PIN),
     "traffic": (lambda: traffic_campaign(runs=3), TRAFFIC_PIN),
+    "ramp": (lambda: session_ramp(max_sessions=2, runs=2), RAMP_PIN),
 }
 
 

@@ -94,26 +94,23 @@ def _corpus_scenarios():
     corpus = Path(__file__).resolve().parents[1] / "corpus"
     out = []
     for path in sorted(corpus.glob("*.json")):
-        scenario, _ = load_corpus_entry(path)
-        if scenario.config.sessions is None:  # multi-session entries pin
-            out.append((path.name, scenario))  # their own digests already
+        cfg, _ = load_corpus_entry(path)
+        if cfg.sessions is None:  # multi-session entries pin
+            out.append((path.name, cfg))  # their own digests already
     return out
 
 
 @pytest.mark.parametrize(
-    "name,scenario", _corpus_scenarios(), ids=lambda x: x if isinstance(x, str) else ""
+    "name,cfg", _corpus_scenarios(), ids=lambda x: x if isinstance(x, str) else ""
 )
-def test_corpus_scenarios_unchanged_by_default_plan(name, scenario):
-    """Every legacy corpus scenario replays byte-identically when the
+def test_corpus_scenarios_unchanged_by_default_plan(name, cfg):
+    """Every legacy corpus entry replays byte-identically when the
     trivially-default TrafficPlan is configured — the flag-off contract
     over the whole stressor space (faults, mobility, energy, repair)."""
-    from dataclasses import replace
-
     from repro.check.fuzz import run_scenario
     from repro.traffic.spec import TrafficPlan
 
-    base = run_scenario(scenario, mode="collect")
-    cfg = scenario.config
-    flagged = replace(cfg, sessions=TrafficPlan.single(cfg))
-    again = run_scenario(replace(scenario, config=flagged), mode="collect")
+    base = run_scenario(cfg, mode="collect")
+    flagged = cfg.with_(sessions=TrafficPlan.single(cfg))
+    again = run_scenario(flagged, mode="collect")
     assert again.trace_sha256 == base.trace_sha256, name

@@ -20,6 +20,7 @@ import gc
 import pytest
 
 from repro.experiments import SimulationConfig
+from repro.experiments.config import Schedule
 from repro.experiments.runner import monte_carlo, run_many, run_single
 from repro.sim.snapshot import SnapshotCache, WarmSnapshot
 
@@ -105,13 +106,13 @@ def _cbr_driver():
 
 
 def _fuzz_driver():
-    from repro.check.fuzz import Scenario, run_scenario
+    from repro.check.fuzz import run_scenario
 
-    scenario = Scenario(
-        config=SimulationConfig(seed=14, group_size=6, mac="csma"),
-        refresh_interval=1.5, n_packets=3,
+    cfg = SimulationConfig(
+        seed=14, group_size=6, mac="csma",
+        schedule=Schedule(refresh_interval=1.5, n_packets=3),
     )
-    return lambda: run_scenario(scenario)
+    return lambda: run_scenario(cfg)
 
 
 PATHS = {

@@ -54,7 +54,7 @@ def _corpus_paths():
     paths = [
         p
         for p in sorted(CORPUS_DIR.glob("*.json"))
-        if active_sessions(load_corpus_entry(p)[0].config) is None
+        if active_sessions(load_corpus_entry(p)[0]) is None
     ]
     assert len(paths) >= 6, f"expected the 6-entry corpus, found {len(paths)}"
     return paths
@@ -62,11 +62,12 @@ def _corpus_paths():
 
 @pytest.fixture(scope="module")
 def matrix():
-    """{scenario name: {protocol: RunResult}} over the whole corpus."""
+    """{entry name: {protocol: RunResult}} over the whole corpus, each
+    entry run as the paper's round (its stressor schedule dropped)."""
     out = {}
     for path in _corpus_paths():
-        scenario, _payload = load_corpus_entry(path)
-        cfg = scenario.config
+        cfg, _payload = load_corpus_entry(path)
+        cfg = cfg.with_(schedule=None)
         row = {}
         for proto in PROTOCOLS:
             reset_uids()
@@ -76,10 +77,10 @@ def matrix():
 
 
 def test_corpus_is_intact():
-    """Every corpus entry still parses and names a scenario + config."""
+    """Every corpus entry still parses and names a scheduled config."""
     for path in _corpus_paths():
         payload = json.loads(path.read_text())
-        assert "scenario" in payload and "config" in payload["scenario"], path.name
+        assert payload["config"]["schedule"] is not None, path.name
 
 
 def test_every_cell_ran(matrix):
@@ -136,7 +137,7 @@ def test_tree_protocols_reach_whole_group(matrix):
 def test_matrix_is_deterministic(matrix):
     """Replaying one cell reproduces the cached result exactly."""
     name = sorted(matrix)[0]
-    scenario, _ = load_corpus_entry(CORPUS_DIR / name)
+    cfg, _ = load_corpus_entry(CORPUS_DIR / name)
     reset_uids()
-    again = run_single(scenario.config.with_(protocol="mtmrp"), cache=False)
+    again = run_single(cfg.with_(schedule=None, protocol="mtmrp"), cache=False)
     assert again == matrix[name]["mtmrp"]

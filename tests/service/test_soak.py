@@ -32,9 +32,10 @@ from repro.service.spec import CampaignSpec, result_record
 FAST = {"protocol": "mtmrp", "topology": "grid", "group_size": 10, "mac": "ideal"}
 
 
-def scenario_payload(scenario) -> dict:
-    """One service spec from a fuzzer scenario's config."""
-    return {"config": dataclasses.asdict(scenario.config), "replicates": 1}
+def scenario_payload(cfg) -> dict:
+    """One service spec from a fuzz case's config, run as the paper's
+    round (its stressor schedule dropped)."""
+    return {"config": dataclasses.asdict(cfg.with_(schedule=None)), "replicates": 1}
 
 
 class GatedScheduler(CampaignScheduler):
@@ -57,7 +58,7 @@ class GatedScheduler(CampaignScheduler):
         scenario_strategy(),
         min_size=2,
         max_size=4,
-        unique_by=lambda s: s.config.seed,
+        unique_by=lambda cfg: cfg.seed,
     )
 )
 def test_concurrent_fuzzed_clients_agree_with_serial_truth(scenarios):

@@ -9,13 +9,13 @@ fallback machinery leaves ineligible configs bit-unchanged.
 """
 
 import heapq
-import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.sim.batch as batch_mod
+from repro.check.fuzz import load_corpus_entry
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import _run_suffix, run_many, run_single
 from repro.net.neighbor import HelloAgent
@@ -43,8 +43,8 @@ ELIGIBLE = SimulationConfig(
 
 
 def _corpus_config(name: str) -> SimulationConfig:
-    payload = json.loads((CORPUS_DIR / name).read_text())
-    return SimulationConfig(**payload["scenario"]["config"])
+    """A corpus entry's config as the paper's round (schedule dropped)."""
+    return load_corpus_entry(CORPUS_DIR / name)[0].with_(schedule=None)
 
 
 @pytest.fixture(autouse=True)
@@ -503,15 +503,12 @@ class TestRunManyBatched:
         cfgs = [ELIGIBLE.with_(seed=s) for s in range(5)]
         assert run_many(cfgs, workers=1, batch=2) == run_many(cfgs, workers=1, batch=500)
 
-    def test_progress_and_on_result_cover_every_run(self):
+    def test_on_result_covers_every_run(self):
         cfgs = [ELIGIBLE.with_(seed=s) for s in range(4)]
-        seen, ticks = {}, []
+        seen = {}
         out = run_many(
-            cfgs, workers=1, batch=2,
-            progress=lambda done, total, r: ticks.append((done, total)),
-            on_result=lambda k, r: seen.__setitem__(k, r),
+            cfgs, workers=1, batch=2, on_result=lambda k, r: seen.__setitem__(k, r)
         )
-        assert ticks == [(i + 1, 4) for i in range(4)]
         assert [seen[k] for k in range(4)] == out
 
 

@@ -8,13 +8,13 @@ random-waypoint mobility through the generic fork machinery, and prove
 forked replicates share no mutable state.
 """
 
-import json
 import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.check.fuzz import load_corpus_entry
 from repro.experiments.config import SimulationConfig, make_positions
 from repro.experiments.runner import run_single
 from repro.net.mobility import RandomWaypointMobility
@@ -46,8 +46,8 @@ GOLDEN_DIGESTS = {
 
 
 def _corpus_config(name: str) -> SimulationConfig:
-    payload = json.loads((CORPUS_DIR / name).read_text())
-    return SimulationConfig(**payload["scenario"]["config"])
+    """A corpus entry's config as the paper's round (schedule dropped)."""
+    return load_corpus_entry(CORPUS_DIR / name)[0].with_(schedule=None)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
