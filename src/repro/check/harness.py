@@ -151,11 +151,6 @@ class CheckHarness(RunHook):
         if self._sim is not None:
             raise RuntimeError("CheckHarness.attach() called twice")
         trace = sim.trace
-        if trace.counters_only:
-            raise ValueError(
-                "CheckHarness needs stored trace records; "
-                "TraceRecorder(counters_only=True) keeps none"
-            )
         needed = {TraceKind.TX, TraceKind.DELIVER, TraceKind.NOTE}
         if trace._enabled is not None and not needed <= trace._enabled:
             missing = sorted(k.value for k in needed - trace._enabled)

@@ -230,8 +230,9 @@ class SimulationConfig:
         Sec. V-A uses 200 nodes on a 200 x 200 m field (5e-3 nodes/m²,
         ~25 expected neighbors at 40 m range); the field side grows as
         ``sqrt(n)`` so larger deployments keep that local structure.
-        1000–5000 nodes are supported workloads on the sparse channel
-        backend (see ``docs/PERFORMANCE.md``).
+        1000–5000 nodes are supported workloads: the channel and the
+        connectivity checks find links on a cell list (see
+        ``docs/PERFORMANCE.md``).
         """
         if n_nodes < 2:
             raise ValueError("scaled deployments need at least 2 nodes")

@@ -967,7 +967,7 @@ def run_many(
     same index the result lands in, regardless of completion order.
 
     ``warm=True`` forks run prefixes from per-process snapshot caches
-    where profitable (HELLO-phase / dense-channel configs — see
+    where profitable (HELLO-phase / fading-channel configs — see
     :func:`repro.sim.snapshot.warm_profitable`).  Warm runs are grouped
     by prefix, so each process captures a prefix at most once.  Results
     are bit-identical either way.

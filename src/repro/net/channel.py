@@ -1,12 +1,20 @@
 """The shared wireless medium.
 
-The channel precomputes, for an entire deployment, the per-node neighbor
-sets with their propagation delays and received powers.  For deterministic
-propagation models (the paper's TwoRayGround) this uses a spatial-hash
-cell list — O(n·k) time and memory — so 1000–5000-node deployments are a
-supported workload; stochastic models (shadowing ablation) fall back to
-the dense all-pairs path so the fading draw keeps its ``(n, n)`` shape and
-runs stay bit-reproducible.  At runtime the channel:
+The channel keeps one geometry: per node, the ids of the neighbors it
+reaches (ascending), their propagation delays and their received powers
+(``_neighbor_ids``, ``_nbr_delays``, ``_nbr_powers``).  The propagation
+model picks how the rows are filled:
+
+* a deterministic model (the paper's TwoRayGround) evaluates only the
+  candidate pairs of a spatial-hash cell list, O(n·k) time and memory, so
+  1000–5000-node deployments are a supported workload.  Rows materialise
+  lazily, patch incrementally when a few nodes move, and are shared by
+  every channel of the process on equal geometry;
+* a fading model (the shadowing ablation) draws once per geometry over
+  the whole ``(n, n)`` distance matrix and mirrors the draw, so every
+  link is two-way and a seed's draws stay bit-reproducible.
+
+At runtime the channel:
 
 * delivers every transmission to every node within range after the
   line-of-sight propagation delay (broadcast nature of Sec. I);
@@ -24,11 +32,10 @@ runs stay bit-reproducible.  At runtime the channel:
 succeeds); combined with :class:`repro.mac.ideal.IdealMac` this gives the
 deterministic medium used by unit tests and fast sweeps.
 
-Determinism: the sparse path computes candidate distances with the same
-elementwise operations and visits neighbors in the same ascending-id order
-as the dense path, so delivery schedules — and therefore trace digests —
-are bit-identical between the two (asserted by
-``tests/net/test_geometry.py`` and the golden-digest integration test).
+Determinism: both builders compute distances as ``sqrt(dx² + dy²)`` and
+list neighbors in ascending id order, so a row is bit-equal to the same
+row of a brute-force all-pairs computation (asserted by
+``tests/net/test_channel_sparse.py``; the golden digests pin whole runs).
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ import numpy as np
 
 from repro.net.geometry import SpatialHash, pair_distances
 from repro.net.loss import LossModel
+from repro.net.topology import pairwise_distances
 from repro.phy.energy import EnergyModel
 from repro.phy.propagation import (
     SPEED_OF_LIGHT,
@@ -57,7 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.node import Node
     from repro.net.packet import Packet
 
-__all__ = ["Channel"]
+__all__ = ["Channel", "TX_POWER", "BITRATE_BPS"]
 
 # Trace kinds as module globals: an enum member lookup costs ~5x a global
 # read on Python 3.11, and the path emits once per frame and per reception.
@@ -66,16 +74,24 @@ _RX = TraceKind.RX
 _COLLISION = TraceKind.COLLISION
 _DROP = TraceKind.DROP
 
+#: Transmit power in watts (ns-2's default).  Every received power and
+#: the receive threshold scale with it alike, so it decides no link.
+TX_POWER = 0.281838
+
+#: Link bitrate for frame airtime (2 Mb/s, the ns-2 802.11 default).
+BITRATE_BPS = 2_000_000.0
+
 #: Above this fraction of moved nodes, ``update_positions`` rebuilds the
-#: whole sparse index instead of patching affected rows (waypoint mobility
-#: moves nearly everyone per tick, where incremental would only add cost).
+#: whole cell-list index instead of patching affected rows (waypoint
+#: mobility moves nearly everyone per tick, where incremental would only
+#: add cost).
 _FULL_REBUILD_FRACTION = 0.4
 
-#: Row arrays of the last sparse geometries this process materialised,
-#: by :meth:`Channel._rows_key` (every grid run of a campaign has the same
-#: positions).  Rows are replace-only, the rule warm-snapshot forks share
-#: them under, so channels on equal geometry share the read-only arrays
-#: and each keeps its own row lists.
+#: Row arrays of the last deterministic geometries this process
+#: materialised, by :meth:`Channel._rows_key` (every grid run of a
+#: campaign has the same positions).  Rows are replace-only, the rule
+#: warm-snapshot forks share them under, so channels on equal geometry
+#: share the read-only arrays and each keeps its own row lists.
 _SHARED_ROWS: "OrderedDict[tuple, tuple]" = OrderedDict()
 _SHARED_ROWS_MAX = 8
 
@@ -95,9 +111,6 @@ class Channel:
         model, so ``receive iff distance <= comm_range`` exactly.
     propagation:
         Propagation model; defaults to the paper's TwoRayGround (Eq. 5).
-    bitrate_bps:
-        Link bitrate used for frame airtime (2 Mb/s, the ns-2 802.11
-        default).
     perfect:
         Disable collisions (see module docstring).  Frame-loss models
         still apply: ``perfect`` refers to contention, not link quality.
@@ -106,10 +119,6 @@ class Channel:
         directed link (i.i.d. or Gilbert–Elliott bursts).  A lost frame
         still occupies the receiver's radio for its airtime — it arrives
         garbled — so carrier sense and collisions are unaffected.
-    sparse:
-        Force the geometry backend: True for the spatial-hash cell list,
-        False for dense ``(n, n)`` matrices.  Default (None) picks sparse
-        whenever ``propagation.is_deterministic``.
     """
 
     def __init__(
@@ -118,48 +127,22 @@ class Channel:
         positions: np.ndarray,
         comm_range: float = 40.0,
         propagation: Optional[PropagationModel] = None,
-        tx_power: float = 0.281838,  # ns-2 default for ~250m; rescaled by threshold anyway
-        bitrate_bps: float = 2_000_000.0,
-        energy_model: Optional[EnergyModel] = None,
         perfect: bool = False,
-        capture_threshold_db: float = 10.0,
         loss: Optional[LossModel] = None,
-        sparse: Optional[bool] = None,
     ) -> None:
         self.sim = sim
         self.positions = np.asarray(positions, dtype=float)
         self.propagation = propagation if propagation is not None else TwoRayGround()
-        self.tx_power = float(tx_power)
-        self.bitrate_bps = float(bitrate_bps)
-        self.energy_model = energy_model if energy_model is not None else EnergyModel(
-            bitrate_bps=bitrate_bps
-        )
+        self.tx_power = TX_POWER
+        self.bitrate_bps = BITRATE_BPS
+        self.energy_model = EnergyModel(bitrate_bps=BITRATE_BPS)
         self.perfect = perfect
         self.loss = loss
         # the range itself is not kept: reachability is this threshold
-        self.rx_threshold = range_to_threshold(self.propagation, self.tx_power, float(comm_range))
-
-        self._sparse = bool(
-            self.propagation.is_deterministic if sparse is None else sparse
-        )
-        # Both geometry backends set the same attributes, all here, so
-        # whichever channel a process builds first registers every name
-        # in the class's shared keys: 29 in all, within CPython's limit
-        # (PERFORMANCE.md, "Inline attribute values").
-        self._grid: Optional[SpatialHash] = None
-        #: the dense ``(distances, rx_power, prop_delays)`` matrices:
-        #: computed lazily on the sparse path (kept for API compatibility
-        #: / diagnostics), eagerly on the dense path
-        self._dense: Optional[tuple] = None
-        #: sparse rows: per node, neighbor ids (dense path too), delays
-        #: and received powers
-        self._neighbor_ids: List[np.ndarray] = []
-        self._nbr_delays: Optional[List[np.ndarray]] = None
-        self._nbr_powers: Optional[List[np.ndarray]] = None
-
+        self.rx_threshold = range_to_threshold(self.propagation, TX_POWER, float(comm_range))
         self._recompute_geometry()
 
-        self.radios = [Radio(i, capture_threshold_db=capture_threshold_db) for i in range(self.n)]
+        self.radios = [Radio(i) for i in range(self.n)]
         self._nodes: List["Node"] = []
 
         # per-frame-size ``(tx, rx)`` energy memo (pure functions of the
@@ -209,12 +192,18 @@ class Channel:
         The model's true maximum range, padded by a relative epsilon so a
         node at *exactly* the nominal range survives the threshold->range
         float round-trip.  Reachability itself is still decided by
-        ``rx_power >= rx_threshold``, identically to the dense path.
+        ``rx_power >= rx_threshold``.
         """
-        return self.propagation.max_range(self.tx_power, self.rx_threshold) * (1.0 + 1e-9)
+        return self.propagation.max_range(TX_POWER, self.rx_threshold) * (1.0 + 1e-9)
 
     def _recompute_geometry(self) -> None:
-        """Rebuild the neighbor index from ``self.positions``."""
+        """Rebuild the rows from ``self.positions``.
+
+        A deterministic model indexes the positions in a cell list and
+        leaves the rows to materialise on first access, so constructing a
+        Channel is O(n).  A fading model draws its rows now: the draw
+        belongs to this geometry, whether or not a row is ever read.
+        """
         n = self.n
         #: per-node delivery fast path: ``[(nbr, delay, rx_power), ...]``,
         #: built lazily per sender on first transmit
@@ -222,21 +211,24 @@ class Channel:
         #: dst-id column of each delivery list, cached alongside it so
         #: per-frame loss batching never re-materialises the id list
         self._delivery_dsts: List[Optional[list]] = [None] * n
-        if self._sparse:
-            self._dense = None
-            self._grid = SpatialHash(self.positions, self._cell_size)
-            self._neighbor_ids: List[np.ndarray] = [None] * n  # type: ignore[list-item]
-            self._nbr_delays: List[np.ndarray] = [None] * n  # type: ignore[list-item]
-            self._nbr_powers: List[np.ndarray] = [None] * n  # type: ignore[list-item]
-            # Rows materialise lazily (one vectorised batch on first
-            # neighbor access), so constructing a Channel is O(n).
+        #: per node: neighbor ids (ascending), their delays and powers
+        self._neighbor_ids: List[np.ndarray] = [None] * n  # type: ignore[list-item]
+        self._nbr_delays: List[np.ndarray] = [None] * n  # type: ignore[list-item]
+        self._nbr_powers: List[np.ndarray] = [None] * n  # type: ignore[list-item]
+        # Both builders set the same names in the same order, so every
+        # channel of a process shares its class's keys (PERFORMANCE.md,
+        # "Inline attribute values").
+        if self.propagation.is_deterministic:
+            #: the cell list (deterministic models only)
+            self._grid: Optional[SpatialHash] = SpatialHash(self.positions, self._cell_size)
             self._rows_ready = False
         else:
-            self._recompute_dense()
+            self._grid = None
             self._rows_ready = True
+            self._draw_rows()
 
     def _ensure_rows(self) -> None:
-        """Materialise every sparse neighbor row (idempotent).
+        """Materialise every cell-list row (idempotent).
 
         A deterministic geometry this process already materialised reuses
         that build's row arrays (``_SHARED_ROWS``) in fresh row lists.
@@ -261,122 +253,82 @@ class Channel:
                 _SHARED_ROWS.popitem(last=False)
 
     def _rows_key(self) -> Optional[tuple]:
-        """The inputs the sparse rows are a function of; None if not shareable.
+        """The inputs the rows are a function of; None if not shareable.
 
-        Only the deterministic sparse path shares rows, and only for a
-        dataclass propagation model, whose ``repr`` spells out every
-        parameter.
+        Only deterministic rows are shared, and only for a dataclass
+        propagation model, whose ``repr`` spells out every parameter.
         """
         prop = self.propagation
-        if not (self._sparse and prop.is_deterministic and is_dataclass(prop)):
+        if not (prop.is_deterministic and is_dataclass(prop)):
             return None
         pos = self.positions
-        return (type(prop), repr(prop), self.tx_power, self.rx_threshold,
+        return (type(prop), repr(prop), self.rx_threshold,
                 self._cell_size, pos.shape, pos.tobytes())
 
     def _rebuild_rows(self, src: np.ndarray) -> None:
-        """Recompute neighbor lists for the (sorted) node ids in ``src``.
+        """Recompute the cell-list rows of the (sorted) node ids in ``src``.
 
-        Reachability is power-based — ``rx_power >= rx_threshold`` — and
-        evaluated with the exact expression the dense path uses, so for
-        deterministic propagation the two backends agree bit-for-bit.
+        Reachability is power-based — ``rx_power >= rx_threshold`` —
+        evaluated on the candidate pairs of the 3×3 cell blocks.
         """
         i, j, d = pair_distances(self._grid, src, self.positions)
         with np.errstate(divide="ignore"):
-            rx = np.asarray(
-                self.propagation.receive_power(self.tx_power, np.maximum(d, 1e-9))
-            )
+            rx = np.asarray(self.propagation.receive_power(TX_POWER, np.maximum(d, 1e-9)))
         keep = rx >= self.rx_threshold
-        i, j, d, rx = i[keep], j[keep], d[keep], rx[keep]
-        delays = d / SPEED_OF_LIGHT
-        lo = np.searchsorted(i, src)
-        hi = np.searchsorted(i, src, side="right")
-        ids, nbr_delays, nbr_powers, delivery = (
-            self._neighbor_ids, self._nbr_delays, self._nbr_powers, self._delivery
-        )
-        dsts = self._delivery_dsts
-        for k, s in enumerate(src):
-            a, b = lo[k], hi[k]
-            ids[s] = j[a:b]
-            nbr_delays[s] = delays[a:b]
-            nbr_powers[s] = rx[a:b]
-            delivery[s] = None
-            dsts[s] = None
+        self._store_rows(src, i[keep], j[keep], d[keep] / SPEED_OF_LIGHT, rx[keep])
 
-    def _recompute_dense(self) -> None:
-        """Dense all-pairs geometry (stochastic propagation fallback).
+    def _draw_rows(self) -> None:
+        """Fill every row from one fading draw over all ``(n, n)`` pairs.
 
         Link gains are symmetrised (shadowing is a property of the path,
         not the direction) by mirroring the upper triangle.
         """
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        distances = np.sqrt((diff**2).sum(axis=2))
-        d = distances.copy()
-        np.fill_diagonal(d, np.inf)
+        distances = pairwise_distances(self.positions)
+        delays = distances / SPEED_OF_LIGHT
+        np.fill_diagonal(distances, np.inf)
         with np.errstate(divide="ignore"):
             rx = np.asarray(
-                self.propagation.receive_power(self.tx_power, np.maximum(d, 1e-9))
+                self.propagation.receive_power(TX_POWER, np.maximum(distances, 1e-9))
             )
         iu = np.triu_indices(self.n, k=1)
         rx[(iu[1], iu[0])] = rx[iu]  # mirror the upper triangle
         reach = rx >= self.rx_threshold
         np.fill_diagonal(reach, False)
-        self._neighbor_ids = [np.flatnonzero(reach[i]) for i in range(self.n)]
-        self._dense = (distances, rx, distances / SPEED_OF_LIGHT)
+        i, j = np.nonzero(reach)
+        self._store_rows(np.arange(self.n, dtype=np.intp), i, j, delays[i, j], rx[i, j])
+
+    def _store_rows(self, src: np.ndarray, i: np.ndarray, j: np.ndarray,
+                    delays: np.ndarray, powers: np.ndarray) -> None:
+        """Slice the links ``(i, j)``, sorted by ``(i, j)``, into the rows
+        of ``src``, and drop those senders' delivery lists."""
+        lo = np.searchsorted(i, src)
+        hi = np.searchsorted(i, src, side="right")
+        ids, nbr_delays, nbr_powers = self._neighbor_ids, self._nbr_delays, self._nbr_powers
+        delivery, dsts = self._delivery, self._delivery_dsts
+        for s, a, b in zip(src.tolist(), lo.tolist(), hi.tolist()):
+            ids[s] = j[a:b]
+            nbr_delays[s] = delays[a:b]
+            nbr_powers[s] = powers[a:b]
+            delivery[s] = None
+            dsts[s] = None
 
     @property
     def neighbor_ids(self) -> List[np.ndarray]:
-        """Per-node neighbor id arrays (materialises sparse rows lazily)."""
+        """Per-node neighbor id arrays (materialises the rows lazily)."""
         if not self._rows_ready:
             self._ensure_rows()
         return self._neighbor_ids
 
-    def _compute_dense_matrices(self) -> None:
-        """Materialise the dense matrices on demand (sparse path only).
-
-        Diagnostics occasionally want the full ``(n, n)`` view; runtime
-        delivery never touches these on the sparse path.
-        """
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        distances = np.sqrt((diff**2).sum(axis=2))
-        d = distances.copy()
-        np.fill_diagonal(d, np.inf)
-        with np.errstate(divide="ignore"):
-            rx = np.asarray(
-                self.propagation.receive_power(self.tx_power, np.maximum(d, 1e-9))
-            )
-        self._dense = (distances, rx, distances / SPEED_OF_LIGHT)
-
-    @property
-    def distances(self) -> np.ndarray:
-        """Dense pairwise distance matrix (lazy on the sparse path)."""
-        if self._dense is None:
-            self._compute_dense_matrices()
-        return self._dense[0]
-
-    @property
-    def rx_power(self) -> np.ndarray:
-        """Dense received-power matrix (lazy on the sparse path)."""
-        if self._dense is None:
-            self._compute_dense_matrices()
-        return self._dense[1]
-
-    @property
-    def prop_delays(self) -> np.ndarray:
-        """Dense propagation-delay matrix (lazy on the sparse path)."""
-        if self._dense is None:
-            self._compute_dense_matrices()
-        return self._dense[2]
-
     def update_positions(self, positions: np.ndarray) -> None:
         """Move the nodes and re-derive reachability (mobility extension).
 
-        On the sparse path this is incremental: only rows whose geometry
-        could have changed — the moved nodes plus everyone in the 3×3 cell
-        blocks around their old and new cells — are recomputed.  Above
-        ``_FULL_REBUILD_FRACTION`` moved nodes the whole index is rebuilt,
-        which is cheaper when (as under waypoint mobility) nearly every
-        node moves per tick.
+        With a deterministic model this is incremental: only rows whose
+        geometry could have changed — the moved nodes plus everyone in
+        the 3×3 cell blocks around their old and new cells — are
+        recomputed.  Above ``_FULL_REBUILD_FRACTION`` moved nodes the
+        whole index is rebuilt, which is cheaper when (as under waypoint
+        mobility) nearly every node moves per tick.  A fading model draws
+        its rows afresh on every call.
 
         Frames already in flight keep the delivery schedule computed at
         transmit time — physically, a frame reaches whoever was in range
@@ -385,28 +337,22 @@ class Channel:
         pos = np.asarray(positions, dtype=float)
         if pos.shape != self.positions.shape:
             raise ValueError(f"expected shape {self.positions.shape}, got {pos.shape}")
-        if not self._sparse:
-            self.positions = pos.copy()
-            self._recompute_geometry()
-            return
-        moved = np.flatnonzero((pos != self.positions).any(axis=1))
-        if moved.size == 0:
-            self.positions = pos.copy()
-            return
-        if moved.size > _FULL_REBUILD_FRACTION * self.n or not self._rows_ready:
-            # Nothing materialised yet (or nearly everyone moved): a fresh
-            # lazy index is cheaper than patching rows.
-            self.positions = pos.copy()
-            self._recompute_geometry()
-            return
-        old_grid = self._grid
-        affected_old = old_grid.block_members(moved)
+        if self._grid is not None:
+            moved = np.flatnonzero((pos != self.positions).any(axis=1))
+            if moved.size == 0:
+                self.positions = pos.copy()
+                return
+            if self._rows_ready and moved.size <= _FULL_REBUILD_FRACTION * self.n:
+                affected_old = self._grid.block_members(moved)
+                self.positions = pos.copy()
+                self._grid = SpatialHash(self.positions, self._cell_size)
+                affected_new = self._grid.block_members(moved)
+                self._rebuild_rows(np.unique(np.concatenate([moved, affected_old, affected_new])))
+                return
+        # a fading draw, nothing materialised yet, or nearly everyone
+        # moved: a fresh geometry is cheaper than patching rows
         self.positions = pos.copy()
-        self._grid = SpatialHash(self.positions, self._cell_size)
-        affected_new = self._grid.block_members(moved)
-        affected = np.unique(np.concatenate([moved, affected_old, affected_new]))
-        self._dense = None
-        self._rebuild_rows(affected)
+        self._recompute_geometry()
 
     # ------------------------------------------------------------------ #
     # wiring
@@ -456,25 +402,13 @@ class Channel:
         """
         nodes = self._nodes
         radios = self.radios
-        if self._sparse:
-            if not self._rows_ready:
-                self._ensure_rows()
-            triples = zip(
-                self._neighbor_ids[node_id].tolist(),
-                self._nbr_delays[node_id].tolist(),
-                self._nbr_powers[node_id].tolist(),
-            )
-        else:
-            # one fancy-indexed gather + tolist() instead of a python
-            # loop of scalar indexing — same IEEE-754 bits per element,
-            # ~an order of magnitude faster at dense fan-outs
-            ids = self.neighbor_ids[node_id]
-            _, rx, pd = self._dense
-            triples = zip(
-                ids.tolist(),
-                pd[node_id, ids].tolist(),
-                rx[node_id, ids].tolist(),
-            )
+        if not self._rows_ready:
+            self._ensure_rows()
+        triples = zip(
+            self._neighbor_ids[node_id].tolist(),
+            self._nbr_delays[node_id].tolist(),
+            self._nbr_powers[node_id].tolist(),
+        )
         if nodes:
             dl = [(n, d, p, radios[n], nodes[n]) for n, d, p in triples]
         else:

@@ -1,35 +1,35 @@
-"""Sparse deployment geometry: a spatial-hash (cell-list) neighbor index.
+"""Deployment geometry: a spatial-hash (cell-list) neighbor index.
 
-The dense ``(n, n)`` distance/power matrices the channel used to
-precompute cost O(n²) time *and* memory — at 2000 nodes that is ~230 MB
-and a third of a second per construction, which caps the Monte-Carlo
-sweeps at a few hundred nodes.  This module provides the O(n·k)
-replacement: nodes are hashed into square cells of side ``cell_size``
-(chosen = the candidate radius), and each node's neighbor candidates are
-exactly the members of its 3×3 cell block.  For a disk-reachability model
-with radius ≤ ``cell_size`` the block provably contains every neighbor.
+All-pairs ``(n, n)`` distance/power matrices cost O(n²) time *and*
+memory — at 2000 nodes that is ~230 MB and a third of a second per
+construction, which caps the Monte-Carlo sweeps at a few hundred nodes.
+This module provides the O(n·k) replacement: nodes are hashed into square
+cells of side ``cell_size`` (chosen = the candidate radius), and each
+node's neighbor candidates are exactly the members of its 3×3 cell block.
+For a disk-reachability model with radius ≤ ``cell_size`` the block
+provably contains every neighbor.
 
 Everything is vectorised NumPy — candidate pairs for *all* nodes are
 generated in a single array pass over all nine cell offsets at once
 (one ``searchsorted`` against the broadcast ``src x offsets`` key grid),
 not per-node or per-offset Python loops, so construction at 200 nodes is
-several times faster than the dense path despite being asymptotically
-better, not just smaller.
+several times faster than the all-pairs matrix despite being
+asymptotically better, not just smaller.
 
-Determinism contract: candidate distances are computed with the same
-elementwise operations (``sqrt(dx·dx + dy·dy)``) and the same ordering
-(neighbors ascending by id) as the dense path, so any pure function of
-them — received powers, propagation delays, trace digests — is
-bit-identical to the dense computation.
+Determinism contract: candidate distances are computed as
+``sqrt(dx·dx + dy·dy)`` and pairs come sorted by ``(i, j)``, so any pure
+function of them — received powers, propagation delays, trace digests —
+is bit-identical to the same function of
+:func:`repro.net.topology.pairwise_distances`.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-__all__ = ["SpatialHash", "sparse_neighbor_lists"]
+__all__ = ["SpatialHash", "pair_distances"]
 
 
 def _concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -136,34 +136,15 @@ class SpatialHash:
         return self.order[_concat_ranges(self.starts[p], self.counts[p])]
 
 
-def sparse_neighbor_lists(
-    positions: np.ndarray, radius: float
-) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Per-node neighbor ids and distances for ``distance <= radius``.
-
-    Returns ``(ids, dists)`` lists indexed by node id; ``ids[i]`` ascends.
-    O(n·k) analogue of :func:`repro.net.topology.neighbors_within_range`.
-    """
-    pos = np.asarray(positions, dtype=float)
-    n = len(pos)
-    grid = SpatialHash(pos, cell_size=radius)
-    i, j, d = pair_distances(grid, np.arange(n, dtype=np.intp), pos)
-    keep = d <= radius
-    i, j, d = i[keep], j[keep], d[keep]
-    bounds = np.searchsorted(i, np.arange(n + 1))
-    ids = [j[bounds[k]:bounds[k + 1]] for k in range(n)]
-    dists = [d[bounds[k]:bounds[k + 1]] for k in range(n)]
-    return ids, dists
-
-
 def pair_distances(
     grid: SpatialHash, src: np.ndarray, positions: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate pairs of ``src`` with their Euclidean distances.
 
-    The distance is evaluated exactly as the dense matrix path does
-    (``sqrt(dx² + dy²)`` with the x-term first), keeping every derived
-    quantity bit-identical to the dense computation.
+    The distance is evaluated exactly as
+    :func:`repro.net.topology.pairwise_distances` does (``sqrt(dx² + dy²)``
+    with the x-term first), keeping every derived quantity bit-identical
+    to an all-pairs computation.
     """
     i, j = grid.candidate_pairs(src)
     if i.size == 0:

@@ -24,7 +24,7 @@ into the full HELLO phase with ``SimulationConfig(hello_phase=True)``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional
 
 import networkx as nx
 import numpy as np
@@ -35,8 +35,7 @@ from repro.net.channel import Channel
 from repro.net.loss import LossModel
 from repro.net.neighbor import HelloAgent
 from repro.net.node import Node
-from repro.net.topology import connectivity_graph
-from repro.phy.energy import EnergyModel
+from repro.net.topology import link_graph
 from repro.phy.propagation import PropagationModel
 from repro.sim.kernel import Simulator
 
@@ -53,22 +52,17 @@ class Network:
         comm_range: float = 40.0,
         mac_factory: Optional[Callable[[], Mac]] = None,
         propagation: Optional[PropagationModel] = None,
-        energy_model: Optional[EnergyModel] = None,
         perfect_channel: bool = False,
-        bitrate_bps: float = 2_000_000.0,
         loss: Optional[LossModel] = None,
     ) -> None:
         self.sim = sim
         self.positions = np.asarray(positions, dtype=float)
-        self.comm_range = float(comm_range)
         self.channel = Channel(
             sim,
             self.positions,
             comm_range=comm_range,
             propagation=propagation,
-            energy_model=energy_model,
             perfect=perfect_channel,
-            bitrate_bps=bitrate_bps,
             loss=loss,
         )
         if mac_factory is None:
@@ -98,9 +92,14 @@ class Network:
         return self.channel.neighbors(node_id)
 
     def graph(self) -> nx.Graph:
-        """The unit-disk connectivity graph G=(V, E) of Sec. III (cached)."""
+        """The link graph G=(V, E) of Sec. III: the channel's links (cached).
+
+        Under the paper's TwoRayGround these are the unit-disk links of
+        :func:`repro.net.topology.connectivity_graph`; under fading, the
+        links the radio actually uses.
+        """
         if self._graph is None:
-            self._graph = connectivity_graph(self.positions, self.comm_range)
+            self._graph = link_graph(self.positions, self.channel.neighbor_ids)
         return self._graph
 
     def update_positions(self, positions: np.ndarray) -> None:
@@ -200,9 +199,6 @@ class Network:
     # ------------------------------------------------------------------ #
     # inspection helpers used by metrics / tests
     # ------------------------------------------------------------------ #
-    def positions_of(self, ids: Sequence[int]) -> np.ndarray:
-        return self.positions[list(ids)]
-
     def energy_summary(self) -> Dict[str, float]:
         """Aggregate energy use across the deployment (joules)."""
         tx = sum(n.energy.tx_joules for n in self.nodes)

@@ -9,16 +9,22 @@ Reproduces the two deployments of Sec. V-A:
   for a static scene — substitution S4), with node 0 pinned to the origin
   so the source sits at (0, 0) as in the paper.
 
-All geometry is vectorised NumPy; the connectivity helpers are the hot
-path of network construction and are exercised by the benchmarks.
+All geometry is vectorised NumPy.  The connectivity helpers find their
+pairs on the spatial-hash cell list of :mod:`repro.net.geometry` at every
+size (random deployments check connectivity once per draw), and
+:func:`link_graph` is the one edge builder: :func:`connectivity_graph`
+feeds it unit-disk rows, :meth:`repro.net.network.Network.graph` the
+channel's links.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
+
+from repro.net.geometry import SpatialHash, pair_distances
 
 __all__ = [
     "grid_topology",
@@ -26,6 +32,7 @@ __all__ = [
     "pairwise_distances",
     "neighbors_within_range",
     "connectivity_graph",
+    "link_graph",
     "is_connected_to_source",
 ]
 
@@ -89,78 +96,70 @@ def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=2))
 
 
-#: Above this node count the connectivity helpers switch from the dense
-#: ``(n, n)`` matrix to the spatial-hash cell list.  Both backends apply
-#: the identical ``distance <= comm_range`` predicate to identically
-#: computed distances, so the answer — and hence the rng consumption of
-#: the resampling loop — is the same either way.
-_SPARSE_THRESHOLD = 512
+def _pairs(pos: np.ndarray, comm_range: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Every directed pair ``(i, j)`` with ``distance <= comm_range``,
+    ``i != j``, sorted by ``(i, j)``, found on a spatial-hash cell list.
+
+    The cells are padded by a relative epsilon so a pair at exactly the
+    range lands in adjacent cells; the predicate alone decides the edge.
+    """
+    grid = SpatialHash(pos, comm_range * (1.0 + 1e-9))
+    i, j, d = pair_distances(grid, np.arange(len(pos), dtype=np.intp), pos)
+    keep = d <= comm_range
+    return i[keep], j[keep]
 
 
 def neighbors_within_range(positions: np.ndarray, comm_range: float) -> List[np.ndarray]:
-    """Per-node arrays of neighbor ids (distance <= range, excluding self)."""
+    """Per-node ascending arrays of neighbor ids (distance <= range, excluding self)."""
     pos = np.asarray(positions, dtype=float)
-    if len(pos) > _SPARSE_THRESHOLD:
-        from repro.net.geometry import sparse_neighbor_lists
-
-        return sparse_neighbor_lists(pos, comm_range)[0]
-    d = pairwise_distances(pos)
-    n = d.shape[0]
-    np.fill_diagonal(d, np.inf)
-    mask = d <= comm_range
-    return [np.flatnonzero(mask[i]) for i in range(n)]
+    i, j = _pairs(pos, comm_range)
+    bounds = np.searchsorted(i, np.arange(len(pos) + 1)).tolist()
+    return [j[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def connectivity_graph(positions: np.ndarray, comm_range: float) -> nx.Graph:
-    """Undirected unit-disk graph G=(V, E) of Sec. III.
+def link_graph(positions: np.ndarray, rows: Sequence[np.ndarray]) -> nx.Graph:
+    """The undirected graph G=(V, E) of per-node ascending neighbor rows.
 
-    Nodes carry a ``pos`` attribute; edges carry the Euclidean ``weight``.
+    Nodes carry a ``pos`` attribute and edges the Euclidean ``weight``
+    (``sqrt(dx² + dy²)``, bit-equal to :func:`pairwise_distances`).
+    Edges are added in ``(i, j)`` order, ``i < j``, so every adjacency
+    lists its neighbors in ascending id order.
     """
     pos = np.asarray(positions, dtype=float)
     g = nx.Graph()
-    for i, p in enumerate(pos):
-        g.add_node(i, pos=(float(p[0]), float(p[1])))
-    d = pairwise_distances(pos)
-    iu, ju = np.triu_indices(len(pos), k=1)
-    within = d[iu, ju] <= comm_range
-    for i, j in zip(iu[within], ju[within]):
-        g.add_edge(int(i), int(j), weight=float(d[i, j]))
+    g.add_nodes_from((k, {"pos": (x, y)}) for k, (x, y) in enumerate(pos.tolist()))
+    i = np.repeat(np.arange(len(pos)), [len(r) for r in rows])
+    j = np.concatenate(rows)
+    up = i < j
+    i, j = i[up], j[up]
+    diff = pos[i] - pos[j]
+    d = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
+    g.add_weighted_edges_from(zip(i.tolist(), j.tolist(), d.tolist()))
     return g
+
+
+def connectivity_graph(positions: np.ndarray, comm_range: float) -> nx.Graph:
+    """Undirected unit-disk graph G=(V, E) of Sec. III (see :func:`link_graph`)."""
+    return link_graph(positions, neighbors_within_range(positions, comm_range))
 
 
 def is_connected_to_source(positions: np.ndarray, comm_range: float, source: int = 0) -> bool:
     """True iff every node is reachable from ``source`` in the disk graph.
 
-    Implemented as a vectorised BFS over the boolean adjacency matrix —
-    avoids building a networkx graph in the resampling loop.
+    A vectorised BFS over the cell list's pair arrays — avoids building
+    a networkx graph in the resampling loop.
     """
     pos = np.asarray(positions, dtype=float)
     n = len(pos)
-    if n == 1:
-        return True
-    if n > _SPARSE_THRESHOLD:
-        # O(n·k) BFS over cell-list neighbor lists — the dense adjacency
-        # matrix alone would be n² bytes per resampling attempt.
-        from repro.net.geometry import sparse_neighbor_lists
-
-        ids, _ = sparse_neighbor_lists(pos, comm_range)
-        reached = np.zeros(n, dtype=bool)
-        reached[source] = True
-        frontier = np.array([source])
-        while frontier.size:
-            cand = np.unique(np.concatenate([ids[f] for f in frontier]))
-            nxt = cand[~reached[cand]]
-            reached[nxt] = True
-            frontier = nxt
-        return bool(reached.all())
-    d = pairwise_distances(pos)
-    np.fill_diagonal(d, np.inf)
-    adj = d <= comm_range
+    i, j = _pairs(pos, comm_range)
     reached = np.zeros(n, dtype=bool)
     reached[source] = True
-    frontier = np.array([source])
-    while frontier.size:
-        nxt = adj[frontier].any(axis=0) & ~reached
+    frontier = reached.copy()
+    while True:
+        nxt = np.zeros(n, dtype=bool)
+        nxt[j[frontier[i]]] = True
+        nxt &= ~reached
+        if not nxt.any():
+            return bool(reached.all())
         reached |= nxt
-        frontier = np.flatnonzero(nxt)
-    return bool(reached.all())
+        frontier = nxt

@@ -240,7 +240,7 @@ class Observer(RunHook):
         from repro.sim.trace import TraceKind
 
         trace = self._sim.trace
-        if trace.counters_only or not trace.counts[(TraceKind.NOTE, "RouteState")]:
+        if not trace.counts[(TraceKind.NOTE, "RouteState")]:
             return
         wall = _time.perf_counter()
         end = float(self._sim.now)

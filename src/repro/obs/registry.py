@@ -1,8 +1,8 @@
 """Counter/gauge registry derived from the run's existing instrumentation.
 
 The recorder already maintains a :class:`collections.Counter` over every
-``(kind, packet_type)`` pair — even in ``counters_only`` mode — and the
-channel/network keep their own frame and energy totals.  The registry
+``(kind, packet_type)`` pair — even for kinds it stores no records of —
+and the channel/network keep their own frame and energy totals.  The registry
 therefore *derives* its counters from state the run maintains anyway,
 instead of paying a per-emit callback: reading the registry costs a dict
 scan at sample time, and an unread registry costs exactly nothing.  That
@@ -80,7 +80,7 @@ def counters_from_trace(trace: TraceRecorder) -> Dict[str, int]:
     """Snapshot the trace's running totals into named counters.
 
     One pass over ``trace.counts`` (a few dozen keys) — no record scan,
-    so it works in ``counters_only`` mode too.
+    so it works on a recorder that stores no records too.
     """
     by_kind: Dict[TraceKind, int] = {}
     counts = trace.counts
@@ -97,13 +97,11 @@ def session_counters(trace: TraceRecorder) -> Dict[str, int]:
 
     DELIVER record details carry the flow key ``(source, group, seq)``,
     so one pass over the stored records attributes every application
-    delivery to its multicast session.  Needs stored records (empty in
-    ``counters_only`` mode — per-session attribution has no running
-    total to lean on); single-session runs simply yield one key.
+    delivery to its multicast session.  Needs stored DELIVER records
+    (empty without them — per-session attribution has no running total
+    to lean on); single-session runs simply yield one key.
     """
     out: Dict[str, int] = {}
-    if trace.counters_only:
-        return out
     for rec in trace.filter(TraceKind.DELIVER):
         d = rec.detail
         if isinstance(d, tuple) and len(d) == 3:
@@ -165,7 +163,7 @@ class CounterRegistry:
             self.counters.update(session_counters(self._trace))
         if self._sim is not None:
             self.set_gauge("pending_events", self._sim.heap_depth)
-            if self._trace is not None and not self._trace.counters_only:
+            if self._trace is not None:
                 self.set_gauge(
                     "forwarders",
                     len(self._trace.nodes_with(TraceKind.TX, "DataPacket")),

@@ -173,18 +173,14 @@ class StreamingSampler:
             raise RuntimeError("StreamingSampler.sample_now() before attach()")
         totals = self._totals()
         trace = sim.trace
-        if not trace.counters_only and self._receivers:
+        if self._receivers:
             self._delivered = trace.nodes_with(TraceKind.DELIVER) & self._receivers
             ratio = len(self._delivered) / len(self._receivers)
         else:
             ratio = 0.0
-        forwarders = (
-            len(trace.nodes_with(TraceKind.TX, "DataPacket"))
-            if not trace.counters_only
-            else 0
-        )
+        forwarders = len(trace.nodes_with(TraceKind.TX, "DataPacket"))
         sess: tuple = ()
-        if self._flow_meta and not trace.counters_only:
+        if self._flow_meta:
             recs = trace.records
             for rec in recs[self._scan_pos:]:
                 d = rec.detail

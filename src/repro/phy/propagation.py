@@ -44,12 +44,13 @@ class PropagationModel:
     def is_deterministic(self) -> bool:
         """True when received power is a pure (monotone) function of distance.
 
-        The channel's sparse spatial-hash geometry relies on this: it only
-        evaluates ``receive_power`` for candidate pairs inside the nominal
-        range, which is sound iff power decays deterministically with
-        distance.  Stochastic models (shadowing) must return False so the
-        channel falls back to the dense all-pairs path, keeping the random
-        draw shape — and therefore bit-reproducibility — unchanged.
+        Picks how the channel fills its neighbor rows.  True: only
+        candidate pairs of a spatial-hash cell list inside the model's
+        maximum range are evaluated, which is sound iff power decays
+        deterministically with distance.  False (shadowing): one fading
+        draw over all ``(n, n)`` pairs per geometry, mirrored so links
+        stay two-way, which keeps the draw's shape — and therefore
+        bit-reproducibility — fixed.
         """
         return True
 
@@ -81,10 +82,6 @@ class PropagationModel:
             else:
                 hi = mid
         return lo
-
-    def propagation_delay(self, distance: float) -> float:
-        """Line-of-sight propagation delay in seconds."""
-        return distance / SPEED_OF_LIGHT
 
 
 @dataclass

@@ -538,15 +538,9 @@ def _epoch(cf: _ClosedForm, until: float, current: Optional[HelloAgent] = None) 
         if np.any(pushes[1:] == pushes[:-1]):
             raise _Inexpressible("push-time-tie")
     enabled = recorder._enabled
-    store_tx = not recorder.counters_only and (
-        enabled is None or TraceKind.TX in enabled
-    )
-    store_rx = not recorder.counters_only and (
-        enabled is None or TraceKind.RX in enabled
-    )
-    store_drop = not recorder.counters_only and (
-        enabled is None or TraceKind.DROP in enabled
-    )
+    store_tx = enabled is None or TraceKind.TX in enabled
+    store_rx = enabled is None or TraceKind.RX in enabled
+    store_drop = enabled is None or TraceKind.DROP in enabled
 
     # ---- receptions: one flat, frame-major layout -------------------- #
     # Every reception of a fired frame, frames in fire (= uid) order, each
@@ -1072,14 +1066,14 @@ def run_batch(
                 )
                 for cfg in cfgs
             ]
-        enabled, counters_only = _trace_signature(trace, cfgs[0])
+        enabled = _trace_signature(trace, cfgs[0])
         session_plan = active_sessions(cfgs[0])
         n_flows = len(session_plan) if session_plan is not None else 1
 
         results: List["RunResult"] = []
         for s, cfg in enumerate(cfgs):
             uid_start = current_uid()
-            recorder = TraceRecorder(enabled_kinds=enabled, counters_only=counters_only)
+            recorder = TraceRecorder(enabled_kinds=enabled)
             try:
                 prefix = _reconstruct_prefix(cfg, streams.registry(s), recorder, plan, s)
                 prefix.net.channel.direct_finish = True

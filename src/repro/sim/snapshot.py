@@ -107,12 +107,14 @@ def default_trace_kinds(cfg: "SimulationConfig") -> set:
     return kinds
 
 
-def _trace_signature(trace: Optional[TraceRecorder], cfg: "SimulationConfig") -> tuple:
-    """What the capture recorder must look like to serve this request."""
+def _trace_signature(
+    trace: Optional[TraceRecorder], cfg: "SimulationConfig"
+) -> Optional[frozenset]:
+    """The record kinds the capture recorder must store (None: all)."""
     if trace is None:
-        return (frozenset(default_trace_kinds(cfg)), False)
+        return frozenset(default_trace_kinds(cfg))
     enabled = trace._enabled
-    return (frozenset(enabled) if enabled is not None else None, trace.counters_only)
+    return frozenset(enabled) if enabled is not None else None
 
 
 def _sessions_signature(cfg: "SimulationConfig") -> Optional[tuple]:
@@ -153,9 +155,9 @@ def warm_profitable(cfg: "SimulationConfig") -> bool:
 
     A fork unpickles the whole deployment (~the cost of building it),
     so it only wins when the prefix includes simulated work — the HELLO
-    warmup — or an expensive geometry build (dense stochastic channel,
-    large deployments).  Static-bootstrap runs at the paper's sizes build
-    faster cold.
+    warmup — or an expensive geometry build (a fading channel's all-pairs
+    draw, large deployments).  Static-bootstrap runs at the paper's sizes
+    build faster cold.
     """
     return bool(cfg.hello_phase or cfg.shadowing_sigma_db > 0.0 or cfg.n_nodes >= 1000)
 
@@ -419,23 +421,17 @@ def _shared_prefix_state(prefix: ForkedPrefix) -> list:
     place.  Sharing the array objects across forks is therefore safe —
     a fork that moves nodes swaps in its own arrays and the siblings
     keep seeing the capture-time geometry.  The *containers* (row lists,
-    the grid object) stay per-fork.
-
-    Only the sparse backend's row arrays qualify; the dense path (used
-    under stochastic propagation) keeps whole matrices whose mutation
-    discipline this function does not audit, so they ride in the blob.
+    the grid object) stay per-fork.  Every channel keeps its geometry in
+    these rows, a fading channel's included.
     """
     ch = prefix.net.channel
     shared: list = [prefix.positions]
     if ch is not None:
-        for attr in ("_neighbor_ids", "_nbr_delays", "_nbr_powers"):
-            rows = getattr(ch, attr, None)
-            if isinstance(rows, list):
-                shared.extend(a for a in rows if isinstance(a, np.ndarray))
-        grid = getattr(ch, "_grid", None)
-        if grid is not None:
+        for rows in (ch._neighbor_ids, ch._nbr_delays, ch._nbr_powers):
+            shared.extend(a for a in rows if a is not None)  # None: lazy row
+        if ch._grid is not None:
             shared.extend(
-                v for v in vars(grid).values() if isinstance(v, np.ndarray)
+                v for v in vars(ch._grid).values() if isinstance(v, np.ndarray)
             )
     return shared
 
@@ -487,7 +483,7 @@ class WarmSnapshot:
     ) -> "WarmSnapshot":
         """Build ``cfg``'s prefix cold and freeze it at the boundary.
 
-        ``trace`` only donates its *shape* (enabled kinds/counters-only);
+        ``trace`` only donates its *shape* (its enabled kinds);
         the capture runs on a private recorder whose prefix records are
         replayed into each fork.  Callers holding an external recorder
         get the records back via :func:`absorb_trace`.
@@ -495,10 +491,7 @@ class WarmSnapshot:
         from repro.net.packet import current_uid
 
         key = prefix_key(cfg, trace)
-        enabled, counters_only = _trace_signature(trace, cfg)
-        recorder = TraceRecorder(
-            enabled_kinds=enabled, counters_only=counters_only
-        )
+        recorder = TraceRecorder(enabled_kinds=_trace_signature(trace, cfg))
         uid_base = current_uid()
         prefix = build_prefix(cfg, trace=recorder)
         uid_end = current_uid()

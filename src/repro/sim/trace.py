@@ -4,8 +4,8 @@ The metrics layer (:mod:`repro.metrics`) never inspects protocol internals;
 it consumes the trace, exactly as one would post-process an ns-2 trace
 file.  Records are cheap tuples; high-volume kinds can be disabled with
 ``TraceRecorder(enabled_kinds=...)`` when only counters are needed, and
-``TraceRecorder(counters_only=True)`` stores no records at all for sweeps
-that only read totals.
+``enabled_kinds=()`` stores no records at all for sweeps that only read
+totals.
 
 Query performance: the recorder maintains *lazy incremental indexes* —
 per-``(kind, packet_type)`` record-position lists and node-set caches —
@@ -105,24 +105,15 @@ class TraceRecorder:
     ----------
     enabled_kinds:
         Only these kinds get stored records (all, when None).  Counters
-        cover every kind regardless.
-    counters_only:
-        Store no records at all — the recorder degenerates to a counter
-        bank.  Record-reading queries (``filter``/``nodes_with``) raise,
-        rather than silently answering from an empty list; ``count`` works
-        as usual.  This is the mode for scaling sweeps where the records
-        of a 5000-node run would dominate memory.
+        cover every kind regardless; ``()`` stores no records at all, for
+        scaling sweeps where the records of a 5000-node run would
+        dominate memory.
     """
 
-    def __init__(
-        self,
-        enabled_kinds: Optional[Iterable[TraceKind]] = None,
-        counters_only: bool = False,
-    ) -> None:
+    def __init__(self, enabled_kinds: Optional[Iterable[TraceKind]] = None) -> None:
         self.records: List[TraceRecord] = []
         self.counts: Counter = _Counts()
         self._enabled = set(enabled_kinds) if enabled_kinds is not None else None
-        self.counters_only = bool(counters_only)
         # lazy incremental indexes: positions into ``records`` and node
         # sets per (kind, packet_type), extended on demand by _reindex
         self._ix: Dict[_IxKey, List[int]] = {}
@@ -145,8 +136,6 @@ class TraceRecorder:
         counts = self.counts
         key = (kind, packet_type)
         counts[key] = counts.get(key, 0) + 1
-        if self.counters_only:
-            return
         if self._enabled is None or kind in self._enabled:
             self.records.append(
                 _tuple_new(TraceRecord, (time, kind, node, packet_type, detail))
@@ -248,13 +237,6 @@ class TraceRecorder:
                 self._ix_nodes[key].update(nodes)
         self._ix_upto = len(self.records)
 
-    def _require_records(self, query: str) -> None:
-        if self.counters_only:
-            raise RuntimeError(
-                f"TraceRecorder(counters_only=True) stores no records; "
-                f"{query} has nothing to answer from"
-            )
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -271,7 +253,6 @@ class TraceRecorder:
         node: Optional[int] = None,
     ) -> Iterator[TraceRecord]:
         """Iterate stored records matching all given criteria (in emit order)."""
-        self._require_records("filter()")
         if kind is None:
             # rare shape (no kind restriction): plain scan
             for rec in self.records:
@@ -292,7 +273,6 @@ class TraceRecorder:
 
     def nodes_with(self, kind: TraceKind, packet_type: Optional[str] = None) -> Set[int]:
         """Set of node ids having at least one matching record."""
-        self._require_records("nodes_with()")
         self._reindex()
         cached = self._ix_nodes.get((kind, packet_type))
         # copy: callers mutate the result (set intersections in metrics)

@@ -26,11 +26,6 @@ class TestWiring:
         with pytest.raises(RuntimeError, match="twice"):
             harness.attach(sim)
 
-    def test_counters_only_trace_rejected(self):
-        sim = Simulator(seed=1, trace=TraceRecorder(counters_only=True))
-        with pytest.raises(ValueError, match="counters_only"):
-            CheckHarness().attach(sim)
-
     def test_missing_trace_kinds_rejected(self):
         sim = Simulator(seed=1, trace=TraceRecorder(enabled_kinds={TraceKind.TX}))
         with pytest.raises(ValueError, match="trace kinds"):

@@ -1,10 +1,10 @@
 """Golden trace-digest regression tests.
 
-The fast-path overhaul (sparse geometry, fire-and-forget events, bulk
+The fast-path overhaul (cell-list geometry, fire-and-forget events, bulk
 rng stream seeding, reception recycling, GC pausing) is allowed to change
 *how fast* a run executes, never *what* it computes.  These digests pin
 two full end-to-end runs — one per protocol family and topology — to the
-exact traces the pre-optimisation tree produced.  If any "optimisation"
+exact traces the pre-optimisation tree produced, plus one shadowed run.  If any "optimisation"
 perturbs event ordering, rng consumption, or packet-uid assignment, the
 sha256 changes and this test names the contract that was broken.
 
@@ -54,6 +54,22 @@ def _digest(protocol: str, topology: str, seed: int) -> str:
 @pytest.mark.parametrize("protocol,topology,seed", sorted(GOLDEN))
 def test_golden_digest(protocol, topology, seed):
     assert _digest(protocol, topology, seed) == GOLDEN[(protocol, topology, seed)]
+
+
+#: the shadowing ablation (sigma 6 dB): the fading draw, its mirroring
+#: and the channel rows it fills, pinned end to end
+GOLDEN_SHADOWED = "8a167600d3c891cec207b9c2c1c04c4f166520130d7cf982f21194cf26b2d179"
+
+
+def test_golden_digest_shadowed():
+    reset_uids()
+    tr = TraceRecorder()
+    run_single(
+        SimulationConfig("mtmrp", "grid", group_size=12, seed=42, shadowing_sigma_db=6.0),
+        trace=tr,
+        cache=False,
+    )
+    assert trace_digest(tr) == GOLDEN_SHADOWED
 
 
 def test_digest_is_reproducible_within_process():

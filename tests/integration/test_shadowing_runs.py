@@ -1,7 +1,5 @@
 """Integration tests for the shadowing ablation substrate."""
 
-import numpy as np
-
 from repro.experiments import SimulationConfig, run_single
 
 
@@ -19,8 +17,20 @@ def test_shadowing_deterministic_per_seed():
     assert run_single(cfg) == run_single(cfg)
 
 
+def test_checked_shadowed_run_validates_the_radios_links():
+    """The invariants judge a shadowed run on the links its radio used
+    (``Network.graph()`` reads the channel), not on the unit disk."""
+    from repro.check import CheckHarness
+
+    harness = CheckHarness()
+    run_single(SimulationConfig(group_size=15, seed=0, shadowing_sigma_db=6.0),
+               hooks=[harness])
+    assert harness.report.ok
+    assert harness.report.checkpoints == ["route-discovery", "end-of-run"]
+
+
 def test_channel_links_symmetric_under_fading():
-    """The symmetrised gain matrix keeps links bidirectional."""
+    """The mirrored fading draw keeps links bidirectional, at equal power."""
     from repro.mac.ideal import IdealMac
     from repro.net.network import Network
     from repro.net.topology import grid_topology
@@ -38,10 +48,11 @@ def test_channel_links_symmetric_under_fading():
     net = Network(sim, grid_topology(), comm_range=40.0,
                   mac_factory=IdealMac, propagation=prop)
     ch = net.channel
-    assert np.allclose(ch.rx_power, ch.rx_power.T)
     for i in range(len(net)):
-        for j in ch.neighbors(i):
-            assert i in ch.neighbors(int(j))
+        for j, power in zip(ch.neighbors(i).tolist(), ch._nbr_powers[i].tolist()):
+            back = ch.neighbors(j).tolist()
+            assert i in back
+            assert ch._nbr_powers[j][back.index(i)] == power
 
 
 def test_heavy_fading_prunes_some_nominal_links():

@@ -26,9 +26,9 @@ def test_reachability_is_disk():
 
 def test_airtime_scales_with_size():
     sim = Simulator(seed=1)
-    ch = Channel(sim, grid_topology(2, 2, 40.0), comm_range=40.0, bitrate_bps=1e6)
+    ch = Channel(sim, grid_topology(2, 2, 40.0), comm_range=40.0)
     pkt = DataPacket(src=0)
-    assert ch.airtime(pkt) == pytest.approx(pkt.size_bits() / 1e6)
+    assert ch.airtime(pkt) == pytest.approx(pkt.size_bits() / 2e6)  # 2 Mb/s
 
 
 def test_transmit_reaches_all_in_range():

@@ -1,10 +1,11 @@
 """Unit tests for Network assembly."""
 
 import numpy as np
+import pytest
 
 from repro.mac.ideal import IdealMac
 from repro.net.network import Network
-from repro.net.topology import grid_topology
+from repro.net.topology import connectivity_graph, grid_topology, random_topology
 from repro.sim.kernel import Simulator
 
 
@@ -30,6 +31,21 @@ def test_graph_cached_and_correct():
     assert g1 is g2
     assert g1.number_of_nodes() == 16
     assert set(g1.neighbors(0)) == {int(x) for x in net.neighbors(0)}
+
+
+@pytest.mark.parametrize("topology", ["grid", "random"])
+def test_graph_reads_the_channel_links(topology):
+    """Under TwoRayGround the channel's links are the unit-disk graph:
+    equal nodes with ``pos``, edges with ``weight``, adjacency order."""
+    if topology == "grid":
+        pos = grid_topology()
+    else:
+        pos = random_topology(200, rng=np.random.default_rng(3), comm_range=40.0)
+    net = Network(Simulator(seed=1), pos, comm_range=40.0, mac_factory=IdealMac)
+    got, ref = net.graph(), connectivity_graph(pos, 40.0)
+    assert list(got.nodes(data=True)) == list(ref.nodes(data=True))
+    assert list(got.edges(data=True)) == list(ref.edges(data=True))
+    assert [list(got.adj[k]) for k in got] == [list(ref.adj[k]) for k in ref]
 
 
 def test_set_group_members():
@@ -61,13 +77,6 @@ def test_energy_summary_zero_initially():
     _sim, net = make()
     s = net.energy_summary()
     assert s == {"tx_joules": 0.0, "rx_joules": 0.0, "total_joules": 0.0}
-
-
-def test_positions_of():
-    _sim, net = make()
-    got = net.positions_of([0, 5])
-    assert got.shape == (2, 2)
-    assert tuple(got[0]) == net.node(0).position
 
 
 def test_close_cancels_pending_events_and_cuts_back_references():

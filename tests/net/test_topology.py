@@ -133,3 +133,33 @@ def test_disk_graph_edge_iff_distance_property(n, rng_seed, rng_range):
     for u in range(n):
         for v in range(u + 1, n):
             assert g.has_edge(u, v) == (d[u, v] <= rng_range)
+
+
+def test_cell_list_matches_dense_reference_at_paper_density():
+    """800 nodes on a 400 m field, the paper's 5e-3 nodes/m²: every
+    connectivity helper agrees with an all-pairs reference."""
+    rng = np.random.default_rng(8)
+    pos = rng.uniform(0.0, 400.0, size=(800, 2))
+    pos[0] = (0.0, 0.0)
+    d = pairwise_distances(pos)
+    np.fill_diagonal(d, np.inf)
+    for r in (40.0, 20.0):
+        adj = d <= r
+        ref_rows = [np.flatnonzero(row) for row in adj]
+        assert all(
+            np.array_equal(a, b) for a, b in zip(neighbors_within_range(pos, r), ref_rows)
+        )
+        g = connectivity_graph(pos, r)
+        iu, ju = np.triu_indices(len(pos), k=1)
+        within = adj[iu, ju]
+        assert list(g.edges(data="weight")) == [
+            (i, j, d[i, j]) for i, j in zip(iu[within].tolist(), ju[within].tolist())
+        ]
+        assert [list(g.adj[k]) for k in g] == [row.tolist() for row in ref_rows]
+        reached = np.zeros(len(pos), dtype=bool)
+        reached[0] = True
+        frontier = reached.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        assert is_connected_to_source(pos, r) == bool(reached.all()) == (r == 40.0)

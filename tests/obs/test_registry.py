@@ -44,7 +44,7 @@ def test_counters_from_trace_names_and_values():
 
 
 def test_counters_work_in_counters_only_mode():
-    trace = TraceRecorder(counters_only=True)
+    trace = TraceRecorder(enabled_kinds=())
     _emit_fixture(trace)
     assert trace.records == []
     c = counters_from_trace(trace)
@@ -147,7 +147,7 @@ def test_session_counters_attribute_delivers_per_flow():
 def test_session_counters_empty_without_stored_records():
     from repro.obs import session_counters
 
-    trace = TraceRecorder(counters_only=True)
+    trace = TraceRecorder(enabled_kinds=())
     _emit_session_fixture(trace)
     assert session_counters(trace) == {}
 

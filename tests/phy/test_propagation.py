@@ -103,8 +103,3 @@ def test_generic_bisection_max_range():
     m = NoClosedForm()
     thr = m.receive_power(1.0, 40.0)
     assert m.max_range(1.0, thr) == pytest.approx(40.0, rel=1e-6)
-
-
-def test_propagation_delay_speed_of_light():
-    m = TwoRayGround()
-    assert m.propagation_delay(299_792_458.0) == pytest.approx(1.0)

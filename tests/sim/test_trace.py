@@ -1,7 +1,5 @@
 """Unit tests for the trace recorder."""
 
-import pytest
-
 from repro.sim.trace import TraceKind, TraceRecorder
 
 
@@ -62,18 +60,6 @@ def test_records_are_immutable():
     except AttributeError:
         mutated = False
     assert not mutated
-
-
-def test_counters_only_mode():
-    t = TraceRecorder(counters_only=True)
-    t.emit(0.0, TraceKind.TX, 1, "Data")
-    t.emit(0.5, TraceKind.TX, 2, "Data")
-    assert t.count(TraceKind.TX) == 2  # counters still work
-    assert len(t) == 0  # nothing stored
-    with pytest.raises(RuntimeError):
-        list(t.filter(kind=TraceKind.TX))
-    with pytest.raises(RuntimeError):
-        t.nodes_with(TraceKind.TX)
 
 
 def test_none_packet_type_not_yielded_twice():
