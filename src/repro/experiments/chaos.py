@@ -14,7 +14,7 @@ identical fault schedules**.  Two disciplines make that comparison honest:
   from the config seed (never from live simulator streams or protocol
   state), so both arms replay byte-identical :class:`~repro.faults.FaultPlan`s;
 * victims are drawn from the interior of the shortest-path tree between
-  the source and the receivers over the static connectivity graph — an
+  the source and the receivers over the run's static link graph — an
   arm-independent stand-in for "nodes likely to be serving forwarders" —
   so the schedule actually stresses the route instead of killing leaves.
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,9 @@ from repro.faults.plan import FaultPlan
 from repro.protocols.repair import RepairPolicy
 from repro.sim.hooks import Meter
 from repro.sim.trace import TraceKind, trace_digest
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = [
     "ChaosRunResult",
@@ -100,7 +103,7 @@ class ChaosRunResult:
 
 def build_churn_plan(
     cfg: SimulationConfig,
-    positions: np.ndarray,
+    graph: "nx.Graph",
     receivers: Sequence[int],
     window: Tuple[float, float],
     n_cycles: int = 3,
@@ -109,7 +112,8 @@ def build_churn_plan(
     """Deterministic crash/recover churn biased onto the routing tree.
 
     Victims are interior nodes of shortest paths from the source to each
-    receiver over the unit-disk connectivity graph — computed from static
+    receiver over the link graph ``graph`` (the run's
+    :meth:`~repro.net.network.Network.graph`) — computed from static
     deployment facts only, so the plan is identical whether or not a
     RepairPolicy is installed (the repair-on/off arms must see the same
     schedule).  Each cycle crashes one victim at a staggered time inside
@@ -119,14 +123,11 @@ def build_churn_plan(
     """
     import networkx as nx
 
-    from repro.net.topology import connectivity_graph
-
-    g = connectivity_graph(np.asarray(positions, dtype=float), cfg.comm_range)
     interior: List[int] = []
     seen = set()
     for r in sorted(set(int(x) for x in receivers)):
         try:
-            path = nx.shortest_path(g, cfg.source, r)
+            path = nx.shortest_path(graph, cfg.source, r)
         except nx.NetworkXNoPath:  # pragma: no cover - disconnected deployment
             continue
         for n in path[1:-1]:

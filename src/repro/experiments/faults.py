@@ -84,8 +84,7 @@ class FaultMeter(Meter):
         trace = net.sim.trace
         fm = collect_fault_metrics(
             trace,
-            net.positions,
-            cfg.comm_range,
+            net.graph(),
             self.receivers,
             self.send_times(),
             source=cfg.source,

@@ -504,7 +504,7 @@ def _run_suffix(
         # churn fires strictly inside the stream so every crash competes
         # with live traffic; the margin keeps the tail packets measurable
         window = (t_data + 2 * interval, t_data + n * interval - down_time)
-        churn = build_churn_plan(cfg, net.positions, receivers, window, n_cycles, down_time)
+        churn = build_churn_plan(cfg, net.graph(), receivers, window, n_cycles, down_time)
         FaultInjector(net, plan=churn).arm()
     if plan is None:
         if on_demand:

@@ -12,21 +12,21 @@ Three fault-specific measurements:
   *after* the crash reaches a threshold fraction of the surviving
   receivers (how fast the refresh/RouteError cycle heals the tree);
 * **time to first partition** — when the crash schedule first disconnects
-  a surviving receiver from the source in the residual connectivity
-  graph: past that instant no protocol can deliver to everyone, so it
-  bounds the network's useful lifetime.
+  a surviving receiver from the source in the residual link graph (the
+  links the run's radio has): past that instant no protocol can deliver
+  to everyone, so it bounds the network's useful lifetime.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.trace import TraceKind, TraceRecorder
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = [
     "FaultMetrics",
@@ -255,22 +255,21 @@ def time_in_state(trace: TraceRecorder, end_time: float) -> Dict[str, float]:
 
 
 def first_partition_time(
-    positions: np.ndarray,
-    comm_range: float,
+    graph: "nx.Graph",
     source: int,
     receivers: Sequence[int],
     crashes: Iterable[Tuple[float, int]],
 ) -> Optional[float]:
     """When the crash schedule first cuts a surviving receiver off.
 
-    Walks the crashes in time order over the unit-disk connectivity graph
+    Walks the crashes in time order over the link graph ``graph`` (a run's
+    :meth:`~repro.net.network.Network.graph`: the links its radio has)
     and returns the first crash time after which the source can no longer
     reach every *surviving* receiver (a crashed receiver stops counting).
     A crashed source partitions everything.  None = never partitioned.
     """
-    from repro.net.topology import connectivity_graph
+    import networkx as nx
 
-    g = connectivity_graph(np.asarray(positions, dtype=float), comm_range)
     dead: Set[int] = set()
     for t, node in sorted(crashes):
         dead.add(node)
@@ -279,7 +278,7 @@ def first_partition_time(
             continue
         if source in dead:
             return t
-        sub = g.subgraph(n for n in g.nodes if n not in dead)
+        sub = graph.subgraph(n for n in graph.nodes if n not in dead)
         if any(not nx.has_path(sub, source, r) for r in targets):
             return t
     return None
@@ -287,8 +286,7 @@ def first_partition_time(
 
 def collect_fault_metrics(
     trace: TraceRecorder,
-    positions: np.ndarray,
-    comm_range: float,
+    graph: "nx.Graph",
     receivers: Sequence[int],
     send_times: Dict[int, float],
     source: int = 0,
@@ -297,6 +295,7 @@ def collect_fault_metrics(
 ) -> FaultMetrics:
     """Assemble all fault metrics for one finished run.
 
+    ``graph`` is the run's link graph (:func:`first_partition_time`);
     ``send_times`` maps each data seq the application emitted to its send
     time; the fault timeline is reconstructed from the trace.
     """
@@ -327,9 +326,7 @@ def collect_fault_metrics(
             trace, receivers, crash_time, send_times, source, group,
             threshold=threshold, surviving=surviving,
         ),
-        time_to_first_partition=first_partition_time(
-            positions, comm_range, source, receivers, crashes
-        ),
+        time_to_first_partition=first_partition_time(graph, source, receivers, crashes),
         packets_sent=len(all_seqs),
         crashes=len(crashes),
     )

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set
 
-import networkx as nx
-
 from repro.sim.trace import TraceKind, TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
+
     from repro.protocols.base import OnDemandMulticastAgent
 
 __all__ = ["forwarder_set", "reverse_path_tree", "data_tree_from_trace"]
@@ -26,7 +26,7 @@ def forwarder_set(agents: Sequence["OnDemandMulticastAgent"], source: int, group
 
 def reverse_path_tree(
     agents: Sequence["OnDemandMulticastAgent"], source: int, group: int
-) -> nx.DiGraph:
+) -> "nx.DiGraph":
     """The tree implied by each node's learned upstream pointer.
 
     Edges point downstream (parent -> child).  Note that path-handover
@@ -35,6 +35,8 @@ def reverse_path_tree(
     (:func:`data_tree_from_trace`) is the authoritative structure; this
     one reflects control-plane reverse paths.
     """
+    import networkx as nx
+
     t = nx.DiGraph()
     t.add_node(source)
     for a in agents:
@@ -46,7 +48,7 @@ def reverse_path_tree(
     return t
 
 
-def data_tree_from_trace(trace: TraceRecorder, source: int) -> nx.DiGraph:
+def data_tree_from_trace(trace: TraceRecorder, source: int) -> "nx.DiGraph":
     """Who-heard-the-data-first-from-whom tree.
 
     Uses the uid stamped on every per-hop data transmission: a TX record
@@ -54,6 +56,8 @@ def data_tree_from_trace(trace: TraceRecorder, source: int) -> nx.DiGraph:
     uid it received, i.e. its data-plane parent.  Requires RX records to
     be retained by the trace.
     """
+    import networkx as nx
+
     uid_sender: Dict[int, int] = {}
     for rec in trace.filter(kind=TraceKind.TX, packet_type="DataPacket"):
         uid_sender[rec.detail] = rec.node

@@ -24,9 +24,8 @@ into the full HELLO phase with ``SimulationConfig(hello_phase=True)``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.mac.base import Mac
@@ -38,6 +37,9 @@ from repro.net.node import Node
 from repro.net.topology import link_graph
 from repro.phy.propagation import PropagationModel
 from repro.sim.kernel import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["Network"]
 
@@ -76,7 +78,7 @@ class Network:
             node.mac = mac
             self.nodes.append(node)
         self.channel.attach_nodes(self.nodes)
-        self._graph: Optional[nx.Graph] = None
+        self._graph: Optional["nx.Graph"] = None
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -91,7 +93,7 @@ class Network:
         """Geometric one-hop neighborhood (channel ground truth)."""
         return self.channel.neighbors(node_id)
 
-    def graph(self) -> nx.Graph:
+    def graph(self) -> "nx.Graph":
         """The link graph G=(V, E) of Sec. III: the channel's links (cached).
 
         Under the paper's TwoRayGround these are the unit-disk links of

@@ -19,12 +19,14 @@ channel's links.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.net.geometry import SpatialHash, pair_distances
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = [
     "grid_topology",
@@ -117,7 +119,7 @@ def neighbors_within_range(positions: np.ndarray, comm_range: float) -> List[np.
     return [j[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def link_graph(positions: np.ndarray, rows: Sequence[np.ndarray]) -> nx.Graph:
+def link_graph(positions: np.ndarray, rows: Sequence[np.ndarray]) -> "nx.Graph":
     """The undirected graph G=(V, E) of per-node ascending neighbor rows.
 
     Nodes carry a ``pos`` attribute and edges the Euclidean ``weight``
@@ -125,6 +127,11 @@ def link_graph(positions: np.ndarray, rows: Sequence[np.ndarray]) -> nx.Graph:
     Edges are added in ``(i, j)`` order, ``i < j``, so every adjacency
     lists its neighbors in ascending id order.
     """
+    # imported here, as in every module a simulated run loads: no run
+    # builds a graph, and the library costs a process ~0.13 s and ~17 MB
+    # (tests/integration/test_import_footprint.py)
+    import networkx as nx
+
     pos = np.asarray(positions, dtype=float)
     g = nx.Graph()
     g.add_nodes_from((k, {"pos": (x, y)}) for k, (x, y) in enumerate(pos.tolist()))
@@ -138,7 +145,7 @@ def link_graph(positions: np.ndarray, rows: Sequence[np.ndarray]) -> nx.Graph:
     return g
 
 
-def connectivity_graph(positions: np.ndarray, comm_range: float) -> nx.Graph:
+def connectivity_graph(positions: np.ndarray, comm_range: float) -> "nx.Graph":
     """Undirected unit-disk graph G=(V, E) of Sec. III (see :func:`link_graph`)."""
     return link_graph(positions, neighbors_within_range(positions, comm_range))
 

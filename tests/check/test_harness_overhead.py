@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import time
 
-import repro.trees.validate  # noqa: F401 -- warm the harness's lazy feasibility-check import
+# warm the harness's lazy imports outside the timed runs: networkx, for
+# its feasibility checks and its first Network.graph() (scipy's MILP stays
+# unloaded: repro.trees imports the exact solver on first use)
+import repro.trees.validate  # noqa: F401
 from repro.check import CheckHarness
 from repro.experiments import SimulationConfig, run_single
 from repro.net.packet import reset_uids

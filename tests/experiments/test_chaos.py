@@ -15,6 +15,7 @@ from repro.experiments.chaos import (
     run_chaos_single,
 )
 from repro.experiments.config import SimulationConfig, make_positions
+from repro.net.topology import connectivity_graph
 from repro.protocols.repair import RepairPolicy
 from repro.sim.kernel import Simulator
 
@@ -52,7 +53,7 @@ class TestChurnPlan:
         positions = make_positions(cfg, sim.rng.stream("topology"))
         receivers = [6, 12, 18, 23]
         return cfg, receivers, build_churn_plan(
-            cfg, positions, receivers, window=(5.0, 15.0),
+            cfg, connectivity_graph(positions, cfg.comm_range), receivers, window=(5.0, 15.0),
             n_cycles=3, down_time=2.0,
         )
 

@@ -66,6 +66,32 @@ def test_energy_budget_produces_depletion_deaths():
     assert r.delivery_ratio < 1.0
 
 
+def test_partition_time_walks_the_radios_links():
+    """Under shadowing the radio's links are not the unit disk's: the
+    meter walks the links the run had (:meth:`Network.graph`).  On this
+    seed, crashing the source's two radio neighbours cuts it off at the
+    second crash, while the unit disk keeps every receiver reachable."""
+    from repro.faults import FaultPlan
+    from repro.metrics.faults import first_partition_time
+    from repro.net.topology import connectivity_graph
+    from repro.sim.snapshot import build_prefix
+
+    cfg = SimulationConfig(group_size=15, seed=0, shadowing_sigma_db=6.0)
+    prefix = build_prefix(cfg)
+    graph = prefix.net.graph()
+    plan = FaultPlan()
+    for k, n in enumerate(graph.neighbors(cfg.source)):
+        plan.crash(1.0 + k, n)
+    r = run_fault_single(cfg, plan=plan)
+    crashes = [(t, n) for t, n, kind, _cause in r.fault_log if kind == "crash"]
+    assert crashes == [(1.0, 1), (2.0, 12)]
+    assert r.time_to_first_partition == 2.0
+    assert first_partition_time(graph, cfg.source, prefix.receivers, crashes) == 2.0
+    disk = connectivity_graph(prefix.positions, cfg.comm_range)
+    assert first_partition_time(disk, cfg.source, prefix.receivers, crashes) is None
+    prefix.net.close()
+
+
 def test_fault_sweep_reports_all_protocols():
     out = fault_sweep(protocols=("mtmrp", "odmrp"), runs=2, n_packets=10)
     assert set(out) == {"mtmrp", "odmrp"}

@@ -11,6 +11,7 @@ from repro.metrics.faults import (
     first_partition_time,
     recovery_latency,
 )
+from repro.net.topology import connectivity_graph
 from repro.sim.trace import TraceKind, TraceRecorder
 
 
@@ -74,21 +75,21 @@ def test_recovery_latency_threshold_semantics():
 
 def test_first_partition_time_on_a_line():
     # 0 - 1 - 2 - 3, range covers adjacent pairs only
-    pos = np.array([[0.0, 0.0], [20.0, 0.0], [40.0, 0.0], [60.0, 0.0]])
+    g = connectivity_graph(np.array([[0.0, 0.0], [20.0, 0.0], [40.0, 0.0], [60.0, 0.0]]), 25.0)
     # killing the bridge (1) cuts receivers 2 and 3 off
-    assert first_partition_time(pos, 25.0, 0, [2, 3], [(5.0, 1)]) == 5.0
+    assert first_partition_time(g, 0, [2, 3], [(5.0, 1)]) == 5.0
     # killing a receiver only shrinks the demand: no partition
-    assert first_partition_time(pos, 25.0, 0, [2, 3], [(5.0, 3)]) is None
+    assert first_partition_time(g, 0, [2, 3], [(5.0, 3)]) is None
     # until the last receiver dies, then the bridge kill at t=7 cuts node 2
-    assert first_partition_time(pos, 25.0, 0, [2, 3], [(5.0, 3), (7.0, 1)]) == 7.0
+    assert first_partition_time(g, 0, [2, 3], [(5.0, 3), (7.0, 1)]) == 7.0
     # a crashed source partitions immediately
-    assert first_partition_time(pos, 25.0, 0, [2], [(3.0, 0)]) == 3.0
+    assert first_partition_time(g, 0, [2], [(3.0, 0)]) == 3.0
     # all receivers dead: nothing left to demand
-    assert first_partition_time(pos, 25.0, 0, [2], [(3.0, 2), (4.0, 1)]) is None
+    assert first_partition_time(g, 0, [2], [(3.0, 2), (4.0, 1)]) is None
 
 
 def test_collect_fault_metrics_end_to_end():
-    pos = np.array([[0.0, 0.0], [20.0, 0.0], [40.0, 0.0], [60.0, 0.0]])
+    g = connectivity_graph(np.array([[0.0, 0.0], [20.0, 0.0], [40.0, 0.0], [60.0, 0.0]]), 25.0)
     t = _trace(
         deliveries=[
             (0.1, 2, 0), (0.1, 3, 0),           # seq 0: everyone
@@ -97,7 +98,7 @@ def test_collect_fault_metrics_end_to_end():
         faults=[(1.0, 3, "crash")],
     )
     fm = collect_fault_metrics(
-        t, pos, 25.0, receivers=[2, 3], send_times={0: 0.0, 1: 1.2}, threshold=0.9
+        t, g, receivers=[2, 3], send_times={0: 0.0, 1: 1.2}, threshold=0.9
     )
     assert fm.crashes == 1 and fm.packets_sent == 2
     assert fm.pre_fault_delivery == 1.0
@@ -110,7 +111,7 @@ def test_collect_fault_metrics_end_to_end():
 def test_collect_fault_metrics_without_faults():
     t = _trace(deliveries=[(0.1, 2, 0)])
     fm = collect_fault_metrics(
-        t, np.zeros((3, 2)), 25.0, receivers=[2], send_times={0: 0.0}
+        t, connectivity_graph(np.zeros((3, 2)), 25.0), receivers=[2], send_times={0: 0.0}
     )
     assert fm.crashes == 0
     assert fm.delivery_ratio == 1.0
