@@ -4,7 +4,8 @@ The fast-path overhaul (cell-list geometry, fire-and-forget events, bulk
 rng stream seeding, reception recycling, GC pausing) is allowed to change
 *how fast* a run executes, never *what* it computes.  These digests pin
 two full end-to-end runs — one per protocol family and topology — to the
-exact traces the pre-optimisation tree produced, plus one shadowed run.  If any "optimisation"
+exact traces the pre-optimisation tree produced, plus one shadowed run
+and four runs with the simulated HELLO phase.  If any "optimisation"
 perturbs event ordering, rng consumption, or packet-uid assignment, the
 sha256 changes and this test names the contract that was broken.
 
@@ -70,6 +71,43 @@ def test_golden_digest_shadowed():
         cache=False,
     )
     assert trace_digest(tr) == GOLDEN_SHADOWED
+
+
+#: HELLO-phase runs, cold, full trace: the simulated beaconing of the
+#: warmup and the suffix on both MACs, on both fields, and with the
+#: position-carrying HELLOs of geographic multicast
+_FIG7 = dict(group_size=20, mac="csma", hello_phase=True, hello_warmup=15.0,
+             construction_time=0.5, data_time=0.25)
+GOLDEN_HELLO = {
+    "fig7-grid-csma": (
+        SimulationConfig("mtmrp", "grid", seed=7, **_FIG7),
+        "c537b714270bd734faf39630930e1f614228a81a4ea0ba01dfccc8eecdb009b2",
+    ),
+    "random-csma": (
+        SimulationConfig("odmrp", "random", group_size=12, seed=99, mac="csma",
+                         hello_phase=True, hello_warmup=5.0),
+        "5c4b1417e05e9204b3dc3ac9953bf965d79bf951aa900ef9d04df09c0b106d54",
+    ),
+    "grid-ideal": (
+        SimulationConfig("mtmrp", "grid", group_size=12, seed=42, mac="ideal",
+                         hello_phase=True, hello_warmup=10.0),
+        "7f6300d0d95abff7991c2c13bac82e0e85a46d6f2073dae759fdb6d5da60d938",
+    ),
+    "gmr-grid-csma": (
+        SimulationConfig("gmr", "grid", group_size=12, seed=42, mac="csma",
+                         hello_phase=True, hello_warmup=5.0),
+        "baab49d86dfbed88e7c51528c3d694f97425b8b6b5fe719e9e215362267ddfe1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_HELLO))
+def test_golden_digest_hello_phase(name):
+    cfg, expected = GOLDEN_HELLO[name]
+    reset_uids()
+    tr = TraceRecorder()
+    run_single(cfg, trace=tr, cache=False, warm_start=False)
+    assert trace_digest(tr) == expected
 
 
 def test_digest_is_reproducible_within_process():
