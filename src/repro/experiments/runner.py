@@ -80,7 +80,7 @@ __all__ = [
     "config_hash",
     "shared_pool",
     "shutdown_pool",
-    "pool_generation",
+    "pool_broken",
     "pool_worker_pids",
     "CACHE_VERSION",
 ]
@@ -709,7 +709,6 @@ def _run_error(cfg: SimulationConfig, index: int, cause: str,
 # --------------------------------------------------------------------- #
 _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
-_POOL_GEN = 0
 
 
 def _warm_imports() -> None:
@@ -733,13 +732,12 @@ def shared_pool(workers: int) -> ProcessPoolExecutor:
     workers and is otherwise left alone; ``shutdown_pool()`` exists for
     tests and long-lived embedders.
     """
-    global _POOL, _POOL_WORKERS, _POOL_GEN
+    global _POOL, _POOL_WORKERS
     if _POOL is None or _POOL_WORKERS < workers:
         if _POOL is not None:
             _POOL.shutdown(wait=False, cancel_futures=True)
         _POOL = ProcessPoolExecutor(max_workers=workers, initializer=_warm_imports)
         _POOL_WORKERS = workers
-        _POOL_GEN += 1
     return _POOL
 
 
@@ -752,24 +750,23 @@ def shutdown_pool() -> None:
     :func:`shared_pool` call build a fresh one — which is how the
     campaign service's scheduler restarts after fault injection.
     """
-    global _POOL, _POOL_WORKERS, _POOL_GEN
+    global _POOL, _POOL_WORKERS
     if _POOL is not None:
         _POOL.shutdown(wait=True, cancel_futures=True)
         _POOL = None
         _POOL_WORKERS = 0
-        _POOL_GEN += 1
 
 
-def pool_generation() -> int:
-    """Monotone counter bumped on every pool rebuild *and* teardown.
+def pool_broken() -> bool:
+    """Has a worker of the shared pool died?  False when there is none.
 
-    Lets concurrent recoveries coordinate without a shared lock over the
-    whole executor: a scheduler that caught ``BrokenProcessPool`` only
-    tears the pool down if the generation still matches the one its runs
-    started on — otherwise another thread already rebuilt it and tearing
-    it down again would break *that* thread's healthy retry.
+    A dead worker marks its executor broken before it fails the pending
+    futures, so a scheduler that caught ``BrokenProcessPool`` finds the
+    pool it ran on still broken — unless a concurrent recovery already
+    replaced it, in which case tearing the new pool down would break
+    *that* campaign's healthy retry.
     """
-    return _POOL_GEN
+    return _POOL is not None and bool(_POOL._broken)
 
 
 def pool_worker_pids() -> Tuple[int, ...]:

@@ -187,6 +187,11 @@ def _serve_forever(host: str, port: int, unix_path, store_dir, workers: int) -> 
         print(f"[serve] campaign service on {where} "
               f"(store={store_dir}, workers={workers}); Ctrl-C to stop",
               file=sys.stderr)
+        # SIGTERM (kill, Popen.terminate) stops the server as Ctrl-C
+        # does, so the pool below is shut down either way
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
         async with server:
             await server.serve_forever()
 
@@ -194,6 +199,8 @@ def _serve_forever(host: str, port: int, unix_path, store_dir, workers: int) -> 
         asyncio.run(main())
     except KeyboardInterrupt:
         print("\n[serve] interrupted", file=sys.stderr)
+    except asyncio.CancelledError:
+        print("[serve] terminated", file=sys.stderr)
     finally:
         shutdown_pool()
     return 0

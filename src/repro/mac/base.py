@@ -31,10 +31,17 @@ class Mac:
     #: does this class override :meth:`on_frame`?  Resolved once per
     #: class, so a node skips the base no-op call on every received frame
     inspects_frames = False
+    #: does :meth:`on_frame` return False and do nothing for a broadcast
+    #: frame that is not an ACK?  A class that overrides ``on_frame``
+    #: must say so itself, or its nodes never hear an isolated frame
+    #: (:meth:`send_isolated`)
+    ignores_broadcast = True
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls.inspects_frames = cls.on_frame is not Mac.on_frame
+        if "on_frame" in vars(cls) and "ignores_broadcast" not in vars(cls):
+            cls.ignores_broadcast = False
 
     def __init__(self, max_queue: int = 256) -> None:
         self.node: Optional["Node"] = None
@@ -63,6 +70,38 @@ class Mac:
         if not self._busy:
             self._busy = True
             self._access()
+
+    def send_isolated(self, packet: "Packet", before: float) -> bool:
+        """Send ``packet`` from an idle MAC, delivered before this returns.
+
+        The channel writes the whole frame now if it can prove that
+        nothing else touches it and that it ends before ``before`` (the
+        caller's next timer): see :meth:`Channel.send_isolated`.  The
+        MAC is left as the stepped send would leave it once the frame is
+        done.  Returns False, having changed nothing, when the MAC is
+        busy, its idle access delay is not fixed or the channel refuses;
+        the caller then sends the stepped way.
+        """
+        delay = self._idle_access_delay()
+        if self._busy or delay is None or self.max_queue <= 0:
+            return False
+        assert self.channel is not None and self.node is not None
+        if not self.channel.send_isolated(self.node, packet, delay, before):
+            return False
+        self._sent_isolated()
+        return True
+
+    def _idle_access_delay(self) -> Optional[float]:
+        """Seconds from a send on an idle MAC and medium to its transmission.
+
+        None (the base MAC's answer) means not fixed: such a MAC never
+        sends an isolated frame.
+        """
+        return None
+
+    def _sent_isolated(self) -> None:
+        """The state an idle send leaves once its frame is done."""
+        self.sent += 1
 
     # ------------------------------------------------------------------ #
     # receive-side hook

@@ -59,6 +59,9 @@ class CsmaParams:
 class CsmaMac(Mac):
     """Carrier-sense multiple access with collision avoidance + unicast ARQ."""
 
+    # on_frame acts on ACKs and on frames addressed to this node only
+    ignores_broadcast = True
+
     def __init__(self, params: CsmaParams | None = None, max_queue: int = 256) -> None:
         super().__init__(max_queue=max_queue)
         self.params = params if params is not None else CsmaParams()
@@ -94,6 +97,16 @@ class CsmaMac(Mac):
         self._retry_count = 0
         self._cw = self.params.cw_min
         self._attempt(attempts_left=self.params.max_attempts, with_backoff=False)
+
+    def _idle_access_delay(self) -> Optional[float]:
+        # an idle medium at the send and at DIFS: no deferral, no backoff
+        return self.params.difs if self.params.max_attempts > 0 else None
+
+    def _sent_isolated(self) -> None:
+        # the resets of the _access an idle send would have run
+        self._retry_count = 0
+        self._cw = self.params.cw_min
+        self.sent += 1
 
     def _attempt(self, attempts_left: int, with_backoff: bool) -> None:
         """One access attempt: wait for idle medium, DIFS, optional backoff."""

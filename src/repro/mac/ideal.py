@@ -27,6 +27,9 @@ class IdealMac(Mac):
         assert self.sim is not None
         self.sim.schedule_fire(self.access_delay, self._fire)
 
+    def _idle_access_delay(self) -> float:
+        return self.access_delay
+
     def _fire(self) -> None:
         airtime = self._transmit_current()
         assert self.sim is not None

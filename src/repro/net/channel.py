@@ -43,12 +43,14 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import is_dataclass
 from heapq import heappush
+from operator import itemgetter
 from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from repro.net.geometry import SpatialHash, pair_distances
 from repro.net.loss import LossModel
+from repro.net.neighbor import HelloAgent
 from repro.net.topology import pairwise_distances
 from repro.phy.energy import EnergyModel
 from repro.phy.propagation import (
@@ -57,7 +59,7 @@ from repro.phy.propagation import (
     TwoRayGround,
     range_to_threshold,
 )
-from repro.phy.radio import Radio, Reception
+from repro.phy.radio import Radio, RadioState, Reception
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceKind
 
@@ -73,6 +75,10 @@ _TX = TraceKind.TX
 _RX = TraceKind.RX
 _COLLISION = TraceKind.COLLISION
 _DROP = TraceKind.DROP
+_IDLE = RadioState.IDLE
+
+#: the one packet handler an isolated frame may reach at a receiver
+_HELLO_ON_PACKET = HelloAgent.on_packet
 
 #: Transmit power in watts (ns-2's default).  Every received power and
 #: the receive threshold scale with it alike, so it decides no link.
@@ -94,6 +100,8 @@ _FULL_REBUILD_FRACTION = 0.4
 #: share the read-only arrays and each keeps its own row lists.
 _SHARED_ROWS: "OrderedDict[tuple, tuple]" = OrderedDict()
 _SHARED_ROWS_MAX = 8
+
+_arrival = itemgetter(0)
 
 
 class Channel:
@@ -419,6 +427,12 @@ class Channel:
         self._delivery_dsts[node_id] = [e[0] for e in dl]
         return dl
 
+    def _frame_energy(self, bits: int) -> tuple:
+        """``(tx, rx)`` joules of a ``bits``-bit frame, memoised per size."""
+        em = self.energy_model
+        energy = self._energy_cache[bits] = (em.tx_energy(bits), em.rx_energy(bits))
+        return energy
+
     def transmit(self, node_id: int, packet: "Packet") -> None:
         """Broadcast ``packet`` from ``node_id`` to everyone in range.
 
@@ -451,8 +465,7 @@ class Channel:
         self._emit(now, _TX, node_id, packet.ptype, packet.uid)
         energy = self._energy_cache.get(bits)
         if energy is None:
-            em = self.energy_model
-            energy = self._energy_cache[bits] = (em.tx_energy(bits), em.rx_energy(bits))
+            energy = self._frame_energy(bits)
         e_tx, e_rx = energy
         if node is not None:
             node.energy.charge_tx(e_tx)
@@ -503,6 +516,121 @@ class Channel:
                 seq += 1
         queue._live += seq - first
         queue._seq = seq
+
+    # ------------------------------------------------------------------ #
+    # isolated frames (HELLO beacons)
+    # ------------------------------------------------------------------ #
+    def send_isolated(self, node: "Node", packet: "Packet", delay: float,
+                      before: float) -> bool:
+        """Transmit ``packet`` from ``node`` ``delay`` s from now and
+        deliver it before returning, if the frame is isolated.
+
+        An isolated frame touches nothing that anything else touches
+        before it ends (:meth:`_isolated` is the test), so the stepped
+        path's events — the MAC's access timer, ``Radio.end_tx``, the
+        MAC's head completion, one ``_arrive`` and one ``_finish`` per
+        live receiver — would execute back to back.  This writes what
+        they would, in their order, while ``sim.now`` steps through
+        their instants: the TX record at ``now + delay``, the sender's
+        frame counter, TX energy and radio, then per live receiver in
+        finish order its RX energy, the delivery counter, the RX record
+        and the HELLO agent's table refresh.  The clock is back at
+        ``now`` on return.  Returns False, having changed nothing, when
+        the frame is not isolated; the MAC then steps it.
+        """
+        sim = self.sim
+        now = sim.now
+        t_fire = now + delay
+        frame = self._isolated(node, packet, t_fire, before)
+        if frame is None:
+            return False
+        duration, e_tx, e_rx, receivers = frame
+        emit = self._emit
+        ptype, uid = packet.ptype, packet.uid
+        sim.now = t_fire
+        self.frames_sent += 1
+        emit(t_fire, _TX, node.node_id, ptype, uid)
+        node.energy.charge_tx(e_tx)
+        self.radios[node.node_id].tx_until = t_fire + duration
+        for arrival, nbr, rnode, agent in receivers:
+            t = arrival + duration
+            sim.now = t
+            rnode.energy.rx_joules += e_rx
+            self.frames_delivered += 1
+            emit(t, _RX, nbr, ptype, uid)
+            agent.on_packet(packet)
+        sim.now = now
+        return True
+
+    def _isolated(self, node: "Node", packet: "Packet", t_fire: float, before: float):
+        """``(duration, e_tx, e_rx, receivers)`` of ``packet`` sent by
+        ``node`` at ``t_fire`` if the frame is isolated, else None.
+
+        ``receivers`` lists ``(arrival, id, node, hello_agent)`` per live
+        neighbor (dead and sleeping ones hear nothing, as in
+        :meth:`transmit`) in the stepped finish order: by rounded
+        arrival instant, then by delivery-list order, which is the order
+        of their arrival events' ``seq``.  The frame is isolated when:
+
+        * the channel is lossless and on the arrive/finish lane, and the
+          running :meth:`Simulator.run` call has a horizon and is not
+          stopping;
+        * the sender's radio is idle — not transmitting, no reception
+          in flight — and so is every live receiver's;
+        * every live receiver's MAC ignores broadcast frames and its
+          only handler of the packet's class is a :class:`HelloAgent`
+          with the stock ``on_packet``;
+        * no charge of the frame reaches its account's budget, so no
+          ``on_depleted`` callback can fire inside it;
+        * the frame's last instant is before the heap's top and before
+          ``before`` (both strictly: at an equal instant the stepped
+          finish, priority 1, runs last), and within the horizon, so it
+          never straddles a ``run(until=)`` call or a snapshot.
+        """
+        sim = self.sim
+        horizon = sim.horizon
+        if horizon is None or sim._stopped or self.loss is not None or self.direct_finish:
+            return None
+        node_id = node.node_id
+        radio = self.radios[node_id]
+        if radio.state is not _IDLE or radio.receptions:
+            return None
+        bits = packet.size_bits()
+        duration = bits / self.bitrate_bps
+        energy = self._energy_cache.get(bits)
+        if energy is None:
+            energy = self._frame_energy(bits)
+        e_tx, e_rx = energy
+        en = node.energy
+        if not en.depleted and (en.tx_joules + e_tx) + en.rx_joules >= en.initial_joules:
+            return None
+        delivery = self._delivery[node_id]
+        if delivery is None:
+            delivery = self._delivery_list(node_id)
+        pcls = packet.__class__
+        receivers = []
+        for nbr, delay, _power, rradio, rnode in delivery:
+            if not rnode.alive or rnode.asleep:
+                continue
+            if rradio.state is not _IDLE or rradio.receptions:
+                return None
+            if not rnode.mac.ignores_broadcast:
+                return None
+            handlers = rnode._dispatch_cache.get(pcls)
+            if handlers is None:
+                handlers = rnode.handlers_of(pcls)
+            if len(handlers) != 1 or handlers[0].__class__.on_packet is not _HELLO_ON_PACKET:
+                return None
+            ren = rnode.energy
+            if not ren.depleted and ren.tx_joules + (ren.rx_joules + e_rx) >= ren.initial_joules:
+                return None
+            receivers.append((t_fire + delay, nbr, rnode, handlers[0]))
+        receivers.sort(key=_arrival)  # stable: ties keep delivery order
+        last = (receivers[-1][0] if receivers else t_fire) + duration
+        heap = self._queue._heap
+        if not (last < before and last <= horizon and (not heap or last < heap[0][0])):
+            return None
+        return duration, e_tx, e_rx, receivers
 
     # ------------------------------------------------------------------ #
     # reception pipeline

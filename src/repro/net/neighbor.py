@@ -220,23 +220,35 @@ class HelloAgent(Agent):
         self.sim.schedule_fire(float(self._rng().uniform(0.0, self.jitter)), self._tick)
 
     def _tick(self) -> None:
+        # The next tick's jitter is drawn first (its own stream, so the
+        # order of draws is unchanged): the beacon may only be sent
+        # isolated if it ends before that tick.
+        delay = max(self.period + float(self._rng().uniform(-self.jitter, self.jitter)), 1e-6)
+        node = self.node
         # A dead or sleeping node beacons nothing, but the timer keeps
         # ticking so a recovered/woken node resumes HELLOs on its own.
-        if self.node.is_active:
-            self.broadcast_hello()
-            self.node.neighbor_table.purge(self.sim.now, self.expiry)
-        delay = self.period + float(self._rng().uniform(-self.jitter, self.jitter))
-        self.sim.schedule_fire(max(delay, 1e-6), self._tick)
+        if node.is_active:
+            sim = self.sim
+            pkt = self._hello()
+            # a beacon nothing else touches is sent and heard right here
+            if not node.mac.send_isolated(pkt, sim.now + delay):
+                node.send(pkt)
+            self.hellos_sent += 1
+            node.neighbor_table.purge(sim.now, self.expiry)
+        self.sim.schedule_fire(delay, self._tick)
 
     def broadcast_hello(self) -> None:
         """Send one HELLO now (also used for membership-change updates)."""
-        pkt = HelloPacket(
-            src=self.node.node_id,
-            groups=frozenset(self.node.groups),
-            position=self.node.position if self.share_position else None,
-        )
-        self.node.send(pkt)
+        self.node.send(self._hello())
         self.hellos_sent += 1
+
+    def _hello(self) -> HelloPacket:
+        node = self.node
+        return HelloPacket(
+            src=node.node_id,
+            groups=frozenset(node.groups),
+            position=node.position if self.share_position else None,
+        )
 
     def on_packet(self, packet: Packet) -> None:
         assert isinstance(packet, HelloPacket)

@@ -116,17 +116,26 @@ class Node:
         cls = packet.__class__
         handlers = self._dispatch_cache.get(cls)
         if handlers is None:
-            # Same match rule and call order as the original per-frame
-            # scan: declaration order over agents' handled classes.
-            handlers = tuple(
+            handlers = self.handlers_of(cls)
+        for agent in handlers:
+            agent.on_packet(packet)
+
+    def handlers_of(self, cls: Type[Packet]) -> Tuple[Agent, ...]:
+        """The agents a received ``cls`` packet reaches, in call order.
+
+        Resolved once per class and kept in ``_dispatch_cache`` (which
+        ``add_agent`` clears): the same match rule and order as a
+        per-frame scan, declaration order over agents' handled classes.
+        """
+        handlers = self._dispatch_cache.get(cls)
+        if handlers is None:
+            handlers = self._dispatch_cache[cls] = tuple(
                 agent
                 for pcls, agents in self._dispatch.items()
                 if issubclass(cls, pcls)
                 for agent in agents
             )
-            self._dispatch_cache[cls] = handlers
-        for agent in handlers:
-            agent.on_packet(packet)
+        return handlers
 
     # ------------------------------------------------------------------ #
     # failure injection (route-recovery experiments, Sec. IV-D;

@@ -49,7 +49,7 @@ from repro.experiments.runner import (
     ResultStore,
     RunError,
     RunResult,
-    pool_generation,
+    pool_broken,
     run_many,
     shutdown_pool,
 )
@@ -59,9 +59,9 @@ __all__ = ["CampaignScheduler", "SchedulerError"]
 
 #: Serialises worker-loss recovery across concurrent campaigns.  Every
 #: in-flight ``run_many`` on a killed pool raises ``BrokenProcessPool``,
-#: so several scheduler threads race into recovery at once; the pool
-#: generation check under this lock makes exactly one of them tear the
-#: pool down while the rest just re-queue onto the replacement.
+#: so several scheduler threads race into recovery at once; testing the
+#: pool for brokenness under this lock makes exactly one of them tear
+#: it down while the rest just re-queue onto the replacement.
 _RECOVERY_LOCK = threading.Lock()
 
 
@@ -171,7 +171,6 @@ class CampaignScheduler:
                 _land(i, res, cached=False)
 
             sub = [cfgs[i] for i in pending]
-            gen = pool_generation()
             try:
                 out = run_many(
                     sub,
@@ -185,10 +184,11 @@ class CampaignScheduler:
             except BrokenExecutor as exc:
                 # a worker died: drop the poisoned pool, re-queue every
                 # replicate that had not landed, run again on a fresh one.
-                # The generation check keeps a second campaign that caught
-                # the same broken pool from tearing down the replacement.
+                # Only a pool that is still broken comes down: a second
+                # campaign that caught the same death may have replaced
+                # it already, and run_many may have created it lazily
                 with _RECOVERY_LOCK:
-                    if pool_generation() == gen:
+                    if pool_broken():
                         shutdown_pool()
                         STATS.inc("worker_restarts")
                 todo = [i for i in pending if i not in landed]

@@ -234,3 +234,36 @@ class TestWorkerKillRecovery:
         assert STATS.get("replicates_run") + STATS.get("replicate_cache_hits") >= 10
         reg = CounterRegistry().refresh()
         assert reg.counters["service_worker_restarts"] >= 1
+
+    def test_kill_in_the_campaign_that_creates_the_pool(self, tmp_path):
+        """``run_many`` creates the pool lazily, inside the campaign a
+        worker dies in: that campaign restarts it once, on its second and
+        last attempt, and the next campaign finds a healthy pool."""
+        shutdown_pool()
+        killed = []
+
+        def kill_one(done_count: int) -> None:
+            pids = pool_worker_pids()
+            if not killed and pids:
+                killed.append(pids[0])
+                os.kill(pids[0], signal.SIGKILL)
+
+        first = CampaignSpec.from_payload(payload(replicates=8, batch_seed=78)).configs()
+        second = CampaignSpec.from_payload(payload(replicates=4, batch_seed=79)).configs()
+        try:
+            out = CampaignScheduler(
+                workers=2, chunk_size=1, max_attempts=2, kill_hook=kill_one
+            ).execute(first, ResultStore(tmp_path / "first"))
+            assert killed, "fault injection never fired"
+            assert [result_record(r) for r in out] == [
+                result_record(r) for r in run_many(first, workers=1)
+            ]
+            assert STATS.get("worker_restarts") == 1
+            requeued = STATS.get("replicates_requeued")
+            CampaignScheduler(workers=2, chunk_size=1, max_attempts=1).execute(
+                second, ResultStore(tmp_path / "second")
+            )
+        finally:
+            shutdown_pool()
+        assert STATS.get("worker_restarts") == 1
+        assert STATS.get("replicates_requeued") == requeued
