@@ -220,22 +220,21 @@ class HelloAgent(Agent):
         self.sim.schedule_fire(float(self._rng().uniform(0.0, self.jitter)), self._tick)
 
     def _tick(self) -> None:
-        # The next tick's jitter is drawn first (its own stream, so the
-        # order of draws is unchanged): the beacon may only be sent
-        # isolated if it ends before that tick.
+        # The next tick is drawn first, as the beacon may only be sent
+        # isolated if it ends before that tick; it is this stream's one
+        # draw per tick, so no drawn value moves.
         delay = max(self.period + float(self._rng().uniform(-self.jitter, self.jitter)), 1e-6)
-        node = self.node
+        sim, node = self.sim, self.node
         # A dead or sleeping node beacons nothing, but the timer keeps
         # ticking so a recovered/woken node resumes HELLOs on its own.
         if node.is_active:
-            sim = self.sim
             pkt = self._hello()
             # a beacon nothing else touches is sent and heard right here
             if not node.mac.send_isolated(pkt, sim.now + delay):
                 node.send(pkt)
             self.hellos_sent += 1
             node.neighbor_table.purge(sim.now, self.expiry)
-        self.sim.schedule_fire(delay, self._tick)
+        sim.schedule_fire(delay, self._tick)
 
     def broadcast_hello(self) -> None:
         """Send one HELLO now (also used for membership-change updates)."""
