@@ -56,6 +56,11 @@ class CsmaParams:
     max_attempts: int = 400
 
 
+#: the parameters every ``CsmaMac()`` shares (frozen, so sharing is
+#: safe): a warm fork restores one copy, not one per MAC
+DEFAULT_PARAMS = CsmaParams()
+
+
 class CsmaMac(Mac):
     """Carrier-sense multiple access with collision avoidance + unicast ARQ."""
 
@@ -64,7 +69,7 @@ class CsmaMac(Mac):
 
     def __init__(self, params: CsmaParams | None = None, max_queue: int = 256) -> None:
         super().__init__(max_queue=max_queue)
-        self.params = params if params is not None else CsmaParams()
+        self.params = params if params is not None else DEFAULT_PARAMS
         self.deferrals = 0
         self.retries = 0
         self.dropped_retry = 0

@@ -44,13 +44,14 @@ from collections import OrderedDict
 from dataclasses import is_dataclass
 from heapq import heappush
 from operator import itemgetter
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from repro.net.geometry import SpatialHash, pair_distances
 from repro.net.loss import LossModel
 from repro.net.neighbor import HelloAgent
+from repro.net.packet import HelloPacket
 from repro.net.topology import pairwise_distances
 from repro.phy.energy import EnergyModel
 from repro.phy.propagation import (
@@ -216,9 +217,13 @@ class Channel:
         #: per-node delivery fast path: ``[(nbr, delay, rx_power), ...]``,
         #: built lazily per sender on first transmit
         self._delivery: List[Optional[list]] = [None] * n
-        #: dst-id column of each delivery list, cached alongside it so
-        #: per-frame loss batching never re-materialises the id list
+        #: dst-id column of each delivery list, cached on a lossy
+        #: channel's first frame from the sender, so per-frame loss
+        #: batching never re-materialises the id list
         self._delivery_dsts: List[Optional[list]] = [None] * n
+        #: per sender, its isolated-HELLO plan (:meth:`_plan`), dropped
+        #: with its delivery list
+        self._plans: list = [None] * n
         #: per node: neighbor ids (ascending), their delays and powers
         self._neighbor_ids: List[np.ndarray] = [None] * n  # type: ignore[list-item]
         self._nbr_delays: List[np.ndarray] = [None] * n  # type: ignore[list-item]
@@ -312,13 +317,14 @@ class Channel:
         lo = np.searchsorted(i, src)
         hi = np.searchsorted(i, src, side="right")
         ids, nbr_delays, nbr_powers = self._neighbor_ids, self._nbr_delays, self._nbr_powers
-        delivery, dsts = self._delivery, self._delivery_dsts
+        delivery, dsts, plans = self._delivery, self._delivery_dsts, self._plans
         for s, a, b in zip(src.tolist(), lo.tolist(), hi.tolist()):
             ids[s] = j[a:b]
             nbr_delays[s] = delays[a:b]
             nbr_powers[s] = powers[a:b]
             delivery[s] = None
             dsts[s] = None
+            plans[s] = None
 
     @property
     def neighbor_ids(self) -> List[np.ndarray]:
@@ -370,10 +376,11 @@ class Channel:
         if len(nodes) != self.n:
             raise ValueError(f"expected {self.n} nodes, got {len(nodes)}")
         self._nodes = nodes
-        # delivery lists embed per-neighbor node references; drop any built
-        # before the nodes were bound
+        # delivery lists and plans embed per-neighbor node references;
+        # drop any built before the nodes were bound
         self._delivery = [None] * self.n
         self._delivery_dsts = [None] * self.n
+        self._plans = [None] * self.n
 
     def neighbors(self, node_id: int) -> np.ndarray:
         """Ids of nodes within communication range of ``node_id``."""
@@ -422,9 +429,6 @@ class Channel:
         else:
             dl = [(n, d, p, radios[n], None) for n, d, p in triples]
         self._delivery[node_id] = dl
-        # cache the dst-id column with the list: the loss fast path (and
-        # the fan-out benchmarks) would otherwise rebuild it per frame
-        self._delivery_dsts[node_id] = [e[0] for e in dl]
         return dl
 
     def _frame_energy(self, bits: int) -> tuple:
@@ -533,10 +537,13 @@ class Channel:
         they would, in their order, while ``sim.now`` steps through
         their instants: the TX record at ``now + delay``, the sender's
         frame counter, TX energy and radio, then per live receiver in
-        finish order its RX energy, the delivery counter, the RX record
-        and the HELLO agent's table refresh.  The clock is back at
-        ``now`` on return.  Returns False, having changed nothing, when
-        the frame is not isolated; the MAC then steps it.
+        finish order its RX energy and the table refresh its HELLO agent
+        would make (``update_hello``, called directly), then the frame's
+        delivery count and its RX records: one counter update
+        (:meth:`TraceRecorder.tally`) unless records are stored or
+        watched, one emit per record otherwise.  The clock is back at
+        ``now`` on return.  Returns False, having changed nothing, when the
+        frame is not isolated; the MAC then steps it.
         """
         sim = self.sim
         now = sim.now
@@ -545,20 +552,23 @@ class Channel:
         if frame is None:
             return False
         duration, e_tx, e_rx, receivers = frame
-        emit = self._emit
         ptype, uid = packet.ptype, packet.uid
+        src, groups, position = packet.src, packet.groups, packet.position
         sim.now = t_fire
         self.frames_sent += 1
-        emit(t_fire, _TX, node.node_id, ptype, uid)
+        self._emit(t_fire, _TX, node.node_id, ptype, uid)
         node.energy.charge_tx(e_tx)
         self.radios[node.node_id].tx_until = t_fire + duration
-        for arrival, nbr, rnode, agent in receivers:
+        for arrival, _nbr, rnode in receivers:
             t = arrival + duration
             sim.now = t
             rnode.energy.rx_joules += e_rx
-            self.frames_delivered += 1
-            emit(t, _RX, nbr, ptype, uid)
-            agent.on_packet(packet)
+            rnode.neighbor_table.update_hello(src, groups, t, position)
+        self.frames_delivered += len(receivers)
+        if not sim.trace.tally(_RX, ptype, len(receivers)):
+            emit = self._emit  # records to store or watchers to show them to
+            for arrival, nbr, _rnode in receivers:
+                emit(arrival + duration, _RX, nbr, ptype, uid)
         sim.now = now
         return True
 
@@ -566,20 +576,21 @@ class Channel:
         """``(duration, e_tx, e_rx, receivers)`` of ``packet`` sent by
         ``node`` at ``t_fire`` if the frame is isolated, else None.
 
-        ``receivers`` lists ``(arrival, id, node, hello_agent)`` per live
-        neighbor (dead and sleeping ones hear nothing, as in
+        ``receivers`` lists ``(arrival, id, node)`` per live neighbor
+        (dead and sleeping ones hear nothing, as in
         :meth:`transmit`) in the stepped finish order: by rounded
         arrival instant, then by delivery-list order, which is the order
         of their arrival events' ``seq``.  The frame is isolated when:
 
+        * the packet is a :class:`HelloPacket` and its sender has a plan
+          (:meth:`_plan`): every neighbor's MAC ignores broadcast frames
+          and its only HELLO handler is a :class:`HelloAgent` with the
+          stock ``on_packet``;
         * the channel is lossless and on the arrive/finish lane, and the
           running :meth:`Simulator.run` call has a horizon and is not
           stopping;
         * the sender's radio is idle — not transmitting, no reception
           in flight — and so is every live receiver's;
-        * every live receiver's MAC ignores broadcast frames and its
-          only handler of the packet's class is a :class:`HelloAgent`
-          with the stock ``on_packet``;
         * no charge of the frame reaches its account's budget, so no
           ``on_depleted`` callback can fire inside it;
         * the frame's last instant is before the heap's top and before
@@ -595,6 +606,13 @@ class Channel:
         radio = self.radios[node_id]
         if radio.state is not _IDLE or radio.receptions:
             return None
+        if packet.__class__ is not HelloPacket:
+            return None
+        plan = self._plans[node_id]
+        if plan is None:
+            plan = self._plans[node_id] = self._plan(node_id)
+        if plan is False:
+            return None
         bits = packet.size_bits()
         duration = bits / self.bitrate_bps
         energy = self._energy_cache.get(bits)
@@ -604,33 +622,51 @@ class Channel:
         en = node.energy
         if not en.depleted and (en.tx_joules + e_tx) + en.rx_joules >= en.initial_joules:
             return None
-        delivery = self._delivery[node_id]
-        if delivery is None:
-            delivery = self._delivery_list(node_id)
-        pcls = packet.__class__
         receivers = []
-        for nbr, delay, _power, rradio, rnode in delivery:
+        for nbr, delay, _power, rradio, rnode in plan:
             if not rnode.alive or rnode.asleep:
                 continue
             if rradio.state is not _IDLE or rradio.receptions:
                 return None
-            if not rnode.mac.ignores_broadcast:
-                return None
-            handlers = rnode._dispatch_cache.get(pcls)
-            if handlers is None:
-                handlers = rnode.handlers_of(pcls)
-            if len(handlers) != 1 or handlers[0].__class__.on_packet is not _HELLO_ON_PACKET:
-                return None
             ren = rnode.energy
             if not ren.depleted and ren.tx_joules + (ren.rx_joules + e_rx) >= ren.initial_joules:
                 return None
-            receivers.append((t_fire + delay, nbr, rnode, handlers[0]))
+            receivers.append((t_fire + delay, nbr, rnode))
         receivers.sort(key=_arrival)  # stable: ties keep delivery order
         last = (receivers[-1][0] if receivers else t_fire) + duration
         heap = self._queue._heap
         if not (last < before and last <= horizon and (not heap or last < heap[0][0])):
             return None
         return duration, e_tx, e_rx, receivers
+
+    def _plan(self, node_id: int):
+        """``node_id``'s delivery list if its HELLOs may go isolated, else
+        False.
+
+        The checks of :meth:`_isolated` that only an install or a row
+        change can turn: per neighbor, live or not, a MAC that ignores
+        broadcast frames and a stock :class:`HelloAgent` as its only HELLO
+        handler, so the write may refresh the neighbor's table directly.
+        The plan is the delivery list itself (no copy for a warm fork to
+        restore), kept until the sender's rows change or an agent
+        handling HELLOs is installed (:meth:`drop_plans`).
+        """
+        delivery = self._delivery[node_id]
+        if delivery is None:
+            delivery = self._delivery_list(node_id)
+        for _nbr, _delay, _power, _radio, rnode in delivery:
+            if rnode is None or not rnode.mac.ignores_broadcast:
+                return False
+            handlers = rnode.handlers_of(HelloPacket)
+            if len(handlers) != 1 or handlers[0].__class__.on_packet is not _HELLO_ON_PACKET:
+                return False
+        return delivery
+
+    def drop_plans(self, classes: Tuple[type, ...]) -> None:
+        """Forget every plan if an agent that handles one of ``classes``,
+        just installed, now hears HELLOs."""
+        if issubclass(HelloPacket, classes):
+            self._plans = [None] * self.n
 
     # ------------------------------------------------------------------ #
     # reception pipeline

@@ -19,8 +19,9 @@ JoinQuery round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Set, Tuple
+import math
+from dataclasses import dataclass
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.net.agent import Agent
 from repro.net.packet import HelloPacket, Packet
@@ -28,6 +29,11 @@ from repro.net.packet import HelloPacket, Packet
 __all__ = ["NeighborEntry", "NeighborTable", "HelloAgent"]
 
 Session = Tuple[int, int, int]  # (source, group, seq)
+
+#: the mark sets of a neighbor nobody has marked yet: one shared empty
+#: frozenset, replaced by a set on the first mark (readers only test
+#: ``in``), so an unmarked entry carries no set of its own
+_NO_MARKS: FrozenSet[Session] = frozenset()
 
 
 @dataclass(slots=True)
@@ -38,17 +44,33 @@ class NeighborEntry:
     last_seen: float = 0.0
     #: immutable, so entries can share a HELLO's frozenset
     groups: FrozenSet[int] = frozenset()
-    covered_sessions: Set[Session] = field(default_factory=set)
-    forwarder_sessions: Set[Session] = field(default_factory=set)
+    covered_sessions: AbstractSet[Session] = _NO_MARKS
+    forwarder_sessions: AbstractSet[Session] = _NO_MARKS
     #: neighbor coordinates, when HELLOs carry positions (geographic mode)
     position: Optional[Tuple[float, float]] = None
 
+    def __reduce__(self):
+        # one constructor call per entry when a warm fork restores it,
+        # instead of pickle's slot state set attribute by attribute
+        return (NeighborEntry, (self.node_id, self.last_seen, self.groups,
+                                self.covered_sessions, self.forwarder_sessions,
+                                self.position))
+
 
 class NeighborTable:
-    """One node's view of its one-hop neighborhood."""
+    """One node's view of its one-hop neighborhood.
+
+    ``_oldest`` is a lower bound on every entry's ``last_seen`` (``inf``
+    while empty), so :meth:`purge` skips its scan when the bound proves
+    nothing is stale.  Code that writes ``_entries`` or an entry's
+    ``last_seen`` directly (the batch kernel) must keep it a lower bound:
+    lower it to at most the written stamp, or set it to ``-inf`` so the
+    next purge scans and recomputes it.
+    """
 
     def __init__(self) -> None:
         self._entries: Dict[int, NeighborEntry] = {}
+        self._oldest = math.inf
 
     # ------------------------------------------------------------------ #
     # maintenance
@@ -66,6 +88,8 @@ class NeighborTable:
             entry = NeighborEntry(node_id=nbr)
             self._entries[nbr] = entry
         entry.last_seen = now
+        if now < self._oldest:
+            self._oldest = now
         # frozenset() of a HELLO's frozenset is that same object: no copy
         entry.groups = frozenset(groups)
         if position is not None:
@@ -79,10 +103,25 @@ class NeighborTable:
         }
 
     def purge(self, now: float, expiry: float) -> int:
-        """Recycle entries older than ``expiry`` seconds; returns #removed."""
-        stale = [nid for nid, e in self._entries.items() if now - e.last_seen > expiry]
+        """Recycle entries older than ``expiry`` seconds; returns #removed.
+
+        Without a scan when ``now - _oldest <= expiry``: IEEE subtraction
+        is monotone, so ``now - e.last_seen <= now - _oldest`` for every
+        entry and none is stale.  A scan recomputes the bound exactly.
+        """
+        if now - self._oldest <= expiry:
+            return 0
+        stale = []
+        oldest = math.inf
+        for nid, e in self._entries.items():
+            seen = e.last_seen
+            if now - seen > expiry:
+                stale.append(nid)
+            elif seen < oldest:
+                oldest = seen
         for nid in stale:
             del self._entries[nid]
+        self._oldest = oldest
         return len(stale)
 
     def remove(self, nbr: int) -> None:
@@ -117,15 +156,27 @@ class NeighborTable:
             # lost; create a groupless entry rather than dropping the mark.
             entry = NeighborEntry(node_id=nbr)
             self._entries[nbr] = entry
+            if 0.0 < self._oldest:
+                self._oldest = 0.0  # the entry's default stamp
         return entry
 
     def mark_covered(self, nbr: int, session: Session) -> None:
         """Record that neighbor ``nbr`` is a covered receiver of ``session``."""
-        self._ensure(nbr).covered_sessions.add(session)
+        entry = self._ensure(nbr)
+        marks = entry.covered_sessions
+        if isinstance(marks, frozenset):  # the shared default (or a fork's copy)
+            entry.covered_sessions = {session, *marks}
+        else:
+            marks.add(session)
 
     def mark_forwarder(self, nbr: int, session: Session) -> None:
         """Record that neighbor ``nbr`` is a forwarder of ``session``."""
-        self._ensure(nbr).forwarder_sessions.add(session)
+        entry = self._ensure(nbr)
+        marks = entry.forwarder_sessions
+        if isinstance(marks, frozenset):  # the shared default (or a fork's copy)
+            entry.forwarder_sessions = {session, *marks}
+        else:
+            marks.add(session)
 
     def has_forwarder(self, session: Session, exclude: Iterable[int] = ()) -> bool:
         """Is any neighbor known to be a forwarder of ``session``? (PHS test)

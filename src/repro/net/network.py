@@ -195,7 +195,6 @@ class Network:
             node.network = None
             node.mac = None
             node._agents.clear()
-            node._dispatch.clear()
             node._dispatch_cache.clear()
 
     # ------------------------------------------------------------------ #

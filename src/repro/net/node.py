@@ -25,6 +25,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Node", "Agent"]
 
+#: Handler chains of every agent stack this process has dispatched on:
+#: ``(each agent's handled_packets in install order, packet class)`` ->
+#: the chain as positions in the stack.  Classes only, never instances,
+#: so a stack resolved on one deployment (a warm fork, a sweep's next
+#: run) is resolved for every later one.
+_CHAINS: Dict[Tuple[tuple, type], Tuple[int, ...]] = {}
+
+
+def _chain(agents: List[Agent], cls: Type[Packet]) -> Tuple[int, ...]:
+    """Positions of the agents a received ``cls`` packet reaches, in call
+    order: packet classes in the order agents first declared them, each
+    class's agents in install order, every class ``cls`` is a subclass
+    of."""
+    by_class: Dict[type, List[int]] = {}
+    for i, agent in enumerate(agents):
+        for pcls in agent.handled_packets:
+            by_class.setdefault(pcls, []).append(i)
+    return tuple(i for pcls, pos in by_class.items() if issubclass(cls, pcls) for i in pos)
+
 
 class Node:
     """One sensor node: identity, position, stack, state."""
@@ -45,9 +64,8 @@ class Node:
         #: crash
         self.asleep = False
         self._agents: List[Agent] = []
-        self._dispatch: Dict[Type[Packet], List[Agent]] = {}
         #: resolved handler chain per *concrete* packet class, filled on
-        #: first receipt (the isinstance scan runs once per type, not per
+        #: first receipt (the chain is looked up once per type, not per
         #: frame — the receive path is the simulation's hottest loop)
         self._dispatch_cache: Dict[Type[Packet], Tuple[Agent, ...]] = {}
 
@@ -55,12 +73,21 @@ class Node:
     # stack assembly
     # ------------------------------------------------------------------ #
     def add_agent(self, agent: Agent) -> Agent:
-        """Install ``agent`` on this node and index its packet interests."""
+        """Install ``agent`` on this node.
+
+        Only the chains of packet classes the agent handles change: those
+        are dropped from the dispatch cache, and the channel drops its
+        isolated-HELLO plans if HELLOs are among them
+        (:meth:`Channel.drop_plans`).
+        """
         agent.attach(self)
         self._agents.append(agent)
-        for pcls in agent.handled_packets:
-            self._dispatch.setdefault(pcls, []).append(agent)
-        self._dispatch_cache.clear()
+        handled = agent.handled_packets
+        if handled:
+            cache = self._dispatch_cache
+            for cls in [c for c in cache if issubclass(c, handled)]:
+                del cache[cls]
+            self.network.channel.drop_plans(handled)
         return agent
 
     def agents_of(self, cls: type) -> List[Agent]:
@@ -123,18 +150,19 @@ class Node:
     def handlers_of(self, cls: Type[Packet]) -> Tuple[Agent, ...]:
         """The agents a received ``cls`` packet reaches, in call order.
 
-        Resolved once per class and kept in ``_dispatch_cache`` (which
-        ``add_agent`` clears): the same match rule and order as a
-        per-frame scan, declaration order over agents' handled classes.
+        Kept per class in ``_dispatch_cache`` (``add_agent`` drops the
+        classes it changes).  The chain's positions are resolved once per
+        agent stack in the process (``_CHAINS``), by :func:`_chain`'s
+        rule.
         """
         handlers = self._dispatch_cache.get(cls)
         if handlers is None:
-            handlers = self._dispatch_cache[cls] = tuple(
-                agent
-                for pcls, agents in self._dispatch.items()
-                if issubclass(cls, pcls)
-                for agent in agents
-            )
+            agents = self._agents
+            key = (tuple([a.handled_packets for a in agents]), cls)
+            positions = _CHAINS.get(key)
+            if positions is None:
+                positions = _CHAINS[key] = _chain(agents, cls)
+            handlers = self._dispatch_cache[cls] = tuple(map(agents.__getitem__, positions))
         return handlers
 
     # ------------------------------------------------------------------ #

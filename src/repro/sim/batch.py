@@ -886,6 +886,9 @@ def _epoch(cf: _ClosedForm, until: float, current: Optional[HelloAgent] = None) 
             else:
                 e.last_seen = last
                 e.groups = groups_of[i]
+        # written past NeighborTable: its next purge rescans for the bound
+        for j in set(recv_l):
+            nodes[j].neighbor_table._oldest = -np.inf
 
     if rx_hit is not None:
         for j, v in zip(rx_hit, rx_new[rx_hit].tolist()):

@@ -360,14 +360,28 @@ def _reduction(cls: type) -> str:
     return _PLAIN
 
 
+def _shared_ref(token: int) -> np.ndarray:
+    """Stands for shared array ``token`` in a capture's blob.
+
+    A fork's unpickler resolves this global to its snapshot's shared list
+    (:meth:`_PrefixUnpickler.find_class`), so nothing calls this body.
+    """
+    raise RuntimeError("shared prefix arrays resolve only inside WarmSnapshot.fork")
+
+
 class _PrefixPickler(pickle.Pickler):
     """Capture-side pickler: shared immutables, cheap generator rebuilds,
     and inline attribute values in every fork.
 
-    ``shared_ids`` maps ``id(obj)`` to a small-int token for objects every
-    fork may reference *in place* (see ``_shared_prefix_state``); numpy
-    ``Generator`` objects are swapped for :func:`_rebuild_generator` so
-    forks skip the entropy-seeding constructor.
+    ``shared_ids`` maps ``id(obj)`` to a small-int token for arrays every
+    fork may reference *in place* (see ``_shared_prefix_state``); each
+    reduces to ``_shared_ref(token)``.  ``reducer_override`` is the only
+    hook: pickle calls it for every object outside its built-in atoms and
+    containers (ints, floats, strings, tuples, lists, dicts, sets), which
+    is how it sees every ndarray, instead of a ``persistent_id`` call per
+    pickled object.  numpy ``Generator`` objects are swapped for
+    :func:`_rebuild_generator` so forks skip the entropy-seeding
+    constructor.
 
     The package's own objects travel in pickle's slot-state form,
     ``(copyreg.__newobj__, (cls,), (None, state))``.  Its BUILD sets each
@@ -383,11 +397,11 @@ class _PrefixPickler(pickle.Pickler):
         super().__init__(buf, protocol=pickle.HIGHEST_PROTOCOL)
         self._shared_ids = shared_ids
 
-    def persistent_id(self, obj):
-        return self._shared_ids.get(id(obj))
-
     def reducer_override(self, obj):
         cls = type(obj)
+        if cls is np.ndarray:
+            token = self._shared_ids.get(id(obj))
+            return NotImplemented if token is None else (_shared_ref, (token,))
         if cls is np.random.Generator:
             return (_rebuild_generator, (obj.bit_generator.state,))
         how = _REDUCTION.get(cls)
@@ -404,12 +418,17 @@ class _PrefixPickler(pickle.Pickler):
 
 
 class _PrefixUnpickler(pickle.Unpickler):
+    """Fork-side unpickler: ``_shared_ref(token)`` is ``shared[token]``."""
+
     def __init__(self, buf, shared: list) -> None:
         super().__init__(buf)
         self._shared = shared
 
-    def persistent_load(self, pid):
-        return self._shared[pid]
+    def find_class(self, module, name):
+        # once per blob: pickle memoizes each global it loads
+        if name == "_shared_ref" and module == __name__:
+            return self._shared.__getitem__
+        return super().find_class(module, name)
 
 
 def _shared_prefix_state(prefix: ForkedPrefix) -> list:
@@ -436,6 +455,30 @@ def _shared_prefix_state(prefix: ForkedPrefix) -> list:
     return shared
 
 
+def _detach_trace(recorder: TraceRecorder) -> tuple:
+    """Take the records and indexes out of an indexed ``recorder``.
+
+    Records are immutable tuples and index entries immutable ints, so
+    each fork gets container copies of the one detached set
+    (:func:`_attach_trace`) instead of unpickling every record again.
+    """
+    out = (
+        tuple(recorder.records),
+        {k: tuple(v) for k, v in recorder._ix.items()},
+        {k: frozenset(v) for k, v in recorder._ix_nodes.items()},
+    )
+    recorder.records, recorder._ix, recorder._ix_nodes = [], {}, {}
+    return out
+
+
+def _attach_trace(recorder: TraceRecorder, detached: tuple) -> None:
+    """Give ``recorder`` its own copies of :func:`_detach_trace`'s output."""
+    records, ix, ix_nodes = detached
+    recorder.records = list(records)
+    recorder._ix = {k: list(v) for k, v in ix.items()}
+    recorder._ix_nodes = {k: set(v) for k, v in ix_nodes.items()}
+
+
 class WarmSnapshot:
     """Frozen prefix state; :meth:`fork` yields independent live copies.
 
@@ -443,25 +486,26 @@ class WarmSnapshot:
     the snapshot itself can never be mutated by a continuation and every
     fork is a fresh materialisation.  Three classes of capture-time state
     are handed to forks without a per-fork rebuild: immutable geometry
-    arrays (shared in place via a ``persistent_id`` pickler), the prefix
-    trace records (immutable tuples, shared through one C-level list
-    copy per fork), and rng generators (rebuilt from raw state, skipping
-    the entropy-seeding constructor).  The capture recorder is also
-    pre-indexed, so forks inherit ready trace indexes and metrics
-    queries only index the records their own suffix appends.  Object
-    graphs that refuse to pickle (exotic user extensions) fall back to
-    per-fork ``copy.deepcopy`` of a private live copy.
+    arrays (shared in place, each pickled as a reference), the prefix
+    trace records and their indexes (immutable tuples and ints, shared
+    through C-level container copies per fork), and rng generators
+    (rebuilt from raw state, skipping the entropy-seeding constructor).
+    The capture recorder is pre-indexed, so forks inherit ready trace
+    indexes and metrics queries only index the records their own suffix
+    appends.  Object graphs that refuse to pickle (exotic user
+    extensions) fall back to per-fork ``copy.deepcopy`` of a private
+    live copy.
     """
 
     __slots__ = (
         "key", "uid_base", "uid_end", "n_forks", "_blob", "_live",
-        "_shared", "_prefix_records",
+        "_shared", "_prefix_trace",
     )
 
     def __init__(self, key: tuple, uid_base: int, uid_end: int,
                  blob: Optional[bytes], live: Optional[ForkedPrefix],
                  shared: Optional[list] = None,
-                 prefix_records: Optional[Tuple] = None) -> None:
+                 prefix_trace: Optional[tuple] = None) -> None:
         self.key = key
         #: packet-uid counter value when the capture build began
         self.uid_base = uid_base
@@ -471,9 +515,9 @@ class WarmSnapshot:
         self._blob = blob
         self._live = live
         self._shared = shared if shared is not None else []
-        #: records detached by :meth:`capture` (None: records are in the
-        #: blob — snapshots built from externally pickled state)
-        self._prefix_records = prefix_records
+        #: records and indexes detached by :meth:`capture` (None: they
+        #: are in the blob — snapshots built from externally pickled state)
+        self._prefix_trace = prefix_trace
 
     @classmethod
     def capture(
@@ -495,24 +539,27 @@ class WarmSnapshot:
         uid_base = current_uid()
         prefix = build_prefix(cfg, trace=recorder)
         uid_end = current_uid()
+        # a fork's suffix refills the radios' reception pools as it needs
+        # them, which costs less than restoring each pooled Reception
+        if prefix.net.channel is not None:
+            for radio in prefix.net.channel.radios:
+                radio.free_pool.clear()
         # pre-index now so every fork inherits ready trace indexes
         recorder._reindex()
-        # detach the records for out-of-band sharing: each fork receives
-        # a shallow list copy (the records are immutable tuples), instead
-        # of unpickling every record again
-        prefix_records = tuple(recorder.records)
-        recorder.records = []
+        prefix_trace = _detach_trace(recorder)
         shared = _shared_prefix_state(prefix)
+        # the pickler's one hook, reducer_override, sees exactly these
+        assert all(type(o) is np.ndarray for o in shared)
         shared_ids = {id(o): i for i, o in enumerate(shared)}
         try:
             buf = io.BytesIO()
             _PrefixPickler(buf, shared_ids).dump(tuple(prefix))
         except Exception:
             # never run further; deepcopied per fork, so it stays open
-            recorder.records = list(prefix_records)
-            return cls(key, uid_base, uid_end, None, prefix, shared, prefix_records)
+            _attach_trace(recorder, prefix_trace)
+            return cls(key, uid_base, uid_end, None, prefix, shared)
         prefix.net.close()
-        return cls(key, uid_base, uid_end, buf.getvalue(), None, shared, prefix_records)
+        return cls(key, uid_base, uid_end, buf.getvalue(), None, shared, prefix_trace)
 
     @property
     def size_bytes(self) -> int:
@@ -533,10 +580,10 @@ class WarmSnapshot:
             prefix = ForkedPrefix(
                 *_PrefixUnpickler(io.BytesIO(self._blob), self._shared).load()
             )
-            if self._prefix_records is not None:
-                # the blob carries an empty records list (pre-indexed to
-                # the boundary); hand this fork its own record-list copy
-                prefix.sim.trace.records = list(self._prefix_records)
+            if self._prefix_trace is not None:
+                # the blob carries an empty recorder (indexed up to the
+                # boundary); hand this fork its own copies
+                _attach_trace(prefix.sim.trace, self._prefix_trace)
         else:
             prefix = ForkedPrefix(*copy.deepcopy(tuple(self._live)))
         self.n_forks += 1

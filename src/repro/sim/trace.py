@@ -141,6 +141,23 @@ class TraceRecorder:
                 _tuple_new(TraceRecord, (time, kind, node, packet_type, detail))
             )
 
+    def tally(self, kind: TraceKind, packet_type: Optional[str], n: int) -> bool:
+        """Count ``n`` records of ``(kind, packet_type)`` without storing
+        them, if that is all ``n`` emits would do: no record of ``kind``
+        is stored and no watcher is attached.  Returns False, having
+        counted nothing, otherwise; the caller then emits each record.
+
+        One call per frame for its receptions, where a per-record
+        :meth:`emit` would bump the same counter ``n`` times.
+        """
+        if self._watchers or self._enabled is None or kind in self._enabled:
+            return False
+        if n:
+            counts = self.counts
+            key = (kind, packet_type)
+            counts[key] = counts.get(key, 0) + n
+        return True
+
     # ------------------------------------------------------------------ #
     # watchers
     # ------------------------------------------------------------------ #

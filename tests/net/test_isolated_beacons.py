@@ -20,10 +20,11 @@ from repro.check import CheckHarness
 from repro.experiments.config import Schedule, SimulationConfig
 from repro.experiments.runner import monte_carlo, run_single
 from repro.mac.csma import CsmaMac
+from repro.net.agent import Agent
 from repro.net.channel import Channel
 from repro.net.network import Network
 from repro.net.neighbor import HelloAgent
-from repro.net.packet import HelloPacket, current_uid, reset_uids
+from repro.net.packet import DataPacket, HelloPacket, current_uid, reset_uids
 from repro.phy.propagation import SPEED_OF_LIGHT
 from repro.sim.hooks import RunHook
 from repro.sim.kernel import Simulator
@@ -293,3 +294,85 @@ def test_a_mac_that_inspects_broadcasts_hears_every_frame():
     assert CsmaMac.ignores_broadcast and not SnoopingMac.ignores_broadcast
     sim, net = _line(SnoopingMac)
     assert not _send_at_t0(sim, net)
+
+
+# --------------------------------------------------------------------- #
+# plans: a sender's checks that only an install or a row change can turn
+# (Channel._plan) are kept between beacons, and dropped exactly when an
+# agent handling their class is installed or the sender's rows change
+# --------------------------------------------------------------------- #
+class _Listener(Agent):
+    handled_packets = (DataPacket,)
+
+    def __init__(self):
+        super().__init__()
+        self.got = []
+
+    def on_packet(self, packet):
+        self.got.append(packet)
+
+
+class _HelloListener(_Listener):
+    handled_packets = (HelloPacket,)
+
+
+def _beacon_at(sim, net, t, until):
+    """Node 0 sends a HELLO at ``t``, isolated if it can be; returns
+    whether it was, and the packet."""
+    out, pkt, node = [], HelloPacket(src=0), net.nodes[0]
+
+    def beacon():
+        out.append(node.mac.send_isolated(pkt, float("inf")))
+        if not out[-1]:
+            node.send(pkt)
+
+    sim.schedule_at(t, beacon)
+    sim.run(until=until)
+    return out[0], pkt
+
+
+def test_an_install_that_does_not_handle_hello_keeps_plans_and_chains():
+    sim, net = _line()
+    assert _send_at_t0(sim, net)
+    plan = net.channel._plans[0]
+    chain = net.nodes[1]._dispatch_cache[HelloPacket]
+    net.nodes[1].add_agent(_Listener())
+    assert net.channel._plans[0] is plan
+    assert net.nodes[1]._dispatch_cache[HelloPacket] is chain
+    assert _beacon_at(sim, net, 2.5, 3.0)[0]
+
+
+def test_a_second_hello_handler_steps_the_beacon_and_hears_it():
+    sim, net = _line()
+    assert _send_at_t0(sim, net)
+    listener = net.nodes[1].add_agent(_HelloListener())
+    assert net.channel._plans == [None] * 3
+    isolated, pkt = _beacon_at(sim, net, 2.5, 3.0)
+    assert not isolated
+    assert listener.got == [pkt]
+    assert net.nodes[1].neighbor_table.entry(0).last_seen > 2.5
+
+
+def test_update_positions_rebuilds_the_plans_of_replaced_rows():
+    sim = Simulator(seed=5)
+    pos = np.array([[30.0 * i, 0.0] for i in range(8)])
+    net = Network(sim, pos, mac_factory=CsmaMac)
+    net.install_hello()
+    net.start()
+    sim.run(until=3.0)
+    ch = net.channel
+    plans = ch._plans
+    assert all(p is ch._delivery[s] for s, p in enumerate(plans))
+    before, rows = list(plans), list(ch._neighbor_ids)
+    moved = pos.copy()
+    moved[7] = (400.0, 0.0)
+    net.update_positions(moved)
+    replaced = {s for s in range(8) if ch._neighbor_ids[s] is not rows[s]}
+    assert {6, 7} <= replaced and 0 not in replaced
+    for s in range(8):
+        assert (plans[s] is None) if s in replaced else (plans[s] is before[s])
+    sim.run(until=6.0)
+    for s in replaced:
+        assert plans[s] is ch._delivery[s]
+        assert [e[0] for e in plans[s]] == ch._neighbor_ids[s].tolist()
+    assert plans[7] == [] and 7 not in [e[0] for e in plans[6]]

@@ -1,5 +1,7 @@
 """Unit tests for neighbor tables and the HELLO protocol (Sec. IV-B)."""
 
+import pickle
+
 import numpy as np
 from hypothesis import given, strategies as st
 
@@ -80,6 +82,16 @@ class TestNeighborTable:
         t.remove(1)
         assert 1 not in t
 
+    def test_entries_pickle_field_for_field(self):
+        """Warm forks restore entries through ``NeighborEntry.__reduce__``."""
+        t = NeighborTable()
+        t.update_hello(1, {2}, 3.0, position=(1.0, 2.0))
+        t.mark_covered(1, SESSION)
+        t.mark_forwarder(1, (0, 1, 1))
+        t.update_hello(4, (), 3.5)
+        restored = pickle.loads(pickle.dumps(t))
+        assert restored._entries == t._entries and restored._oldest == t._oldest
+
     @given(st.sets(st.integers(min_value=0, max_value=50), max_size=20))
     def test_uncovered_members_never_exceeds_members_property(self, covered):
         t = NeighborTable()
@@ -147,3 +159,22 @@ class TestHelloAgent:
         net2.bootstrap_neighbor_tables()
         for n in net2.nodes:
             assert n.neighbor_table.ids() == hello_tables[n.node_id]
+
+    def test_mark_on_unknown_neighbor_is_purged_at_the_next_tick(self):
+        """Today's behaviour, pinned: ``_ensure`` stamps ``last_seen =
+        0.0``, so past the expiry the groupless entry that keeps a mark
+        overheard from an unknown neighbor is stale at once, and the
+        node's next HELLO tick purges it, mark included (CHANGES.md
+        records it; stamping ``now`` instead would move lossy and mobile
+        HELLO digests)."""
+        sim, net = self._hello_net()
+        sim.run(until=5.0)
+        table = net.node(0).neighbor_table
+        known = table.ids()
+        stranger = 15  # the far corner: never heard by node 0
+        assert stranger not in known
+        table.mark_forwarder(stranger, SESSION)
+        assert table.has_forwarder(SESSION) and table.entry(stranger).last_seen == 0.0
+        sim.run(until=6.2)  # node 0 ticks once more (period 1.0 +- 0.1)
+        assert stranger not in table and not table.has_forwarder(SESSION)
+        assert table.ids() == known

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.mac.ideal import IdealMac
+from repro.net import node as node_mod
 from repro.net.agent import Agent
 from repro.net.network import Network
-from repro.net.packet import DataPacket, HelloPacket
+from repro.net.packet import DataPacket, HelloPacket, Packet
 from repro.sim.kernel import Simulator
 
 
@@ -111,3 +112,54 @@ def test_agent_convenience_accessors():
     assert rec.node_id == 1
     assert rec.network is net
     assert rec.sim is net.sim
+
+
+class Overhearer(Recorder):
+    """Handles every packet and, again, DataPackets."""
+
+    handled_packets = (Packet, DataPacket)
+
+
+def test_chain_order_follows_declaration_order():
+    """Classes in the order agents first declared them, each class's
+    agents in install order; an agent declaring two matching classes is
+    called once per class."""
+    _sim, net = two_nodes()
+    node = net.node(1)
+    a, b = Recorder(), Overhearer()
+    node.add_agent(a)
+    node.add_agent(b)
+    assert node.handlers_of(DataPacket) == (a, b, b)
+    assert node.handlers_of(HelloPacket) == (b,)
+
+
+def test_chains_are_resolved_once_per_stack():
+    """Equal stacks share one resolution, kept as positions: the
+    process-wide cache holds classes, never a run's agents."""
+    _sim, net = two_nodes()
+    for node in net.nodes:
+        node.add_agent(Recorder())
+        node.add_agent(Overhearer())
+    first = net.node(0).handlers_of(DataPacket)
+    key = ((Recorder.handled_packets, Overhearer.handled_packets), DataPacket)
+    assert node_mod._CHAINS[key] == (0, 1, 1)
+    resolved = len(node_mod._CHAINS)
+    second = net.node(1).handlers_of(DataPacket)
+    assert len(node_mod._CHAINS) == resolved
+    assert [a.node_id for a in first] == [0, 0, 0] and [a.node_id for a in second] == [1, 1, 1]
+    for (stack, cls), positions in node_mod._CHAINS.items():
+        assert all(isinstance(p, type) for handled in stack for p in handled)
+        assert isinstance(cls, type) and all(type(i) is int for i in positions)
+
+
+def test_install_drops_only_the_chains_it_changes():
+    _sim, net = two_nodes()
+    node = net.node(1)
+    rec = node.add_agent(Recorder())
+    data_chain = node.handlers_of(DataPacket)
+    hello_chain = node.handlers_of(HelloPacket)
+    assert data_chain == (rec,) and hello_chain == ()
+    extra = node.add_agent(Recorder())  # handles DataPacket only
+    assert node._dispatch_cache[HelloPacket] is hello_chain
+    assert DataPacket not in node._dispatch_cache
+    assert node.handlers_of(DataPacket) == (rec, extra)

@@ -135,3 +135,19 @@ def test_indexed_block_answers_like_reindexed_records():
                 reindexed.filter(kind, pt, node)
             )
     assert blocked.nodes_with(TraceKind.TX, "HelloPacket") == {1, 2, 3, 5, 7}
+
+
+def test_tally_counts_unstored_records_in_one_update():
+    t = TraceRecorder(enabled_kinds={TraceKind.TX})
+    assert t.tally(TraceKind.RX, "HelloPacket", 2)
+    assert t.tally(TraceKind.RX, "HelloPacket", 0)
+    assert t.records == [] and dict(t.counts) == {(TraceKind.RX, "HelloPacket"): 2}
+
+
+def test_tally_leaves_stored_or_watched_records_to_emit():
+    stored = TraceRecorder()
+    assert not stored.tally(TraceKind.RX, "HelloPacket", 2)
+    watched = TraceRecorder(enabled_kinds={TraceKind.TX})
+    watched.add_watcher(lambda *rec: None)
+    assert not watched.tally(TraceKind.RX, "HelloPacket", 2)
+    assert not stored.counts and not watched.counts
